@@ -60,7 +60,7 @@ def main() -> int:
             print("FAIL: the program did not run the self-test pipeline")
             return 1
         Xtr, ytr = X[tr], y[tr]
-        Xs, means, sds = checks.standardize(Xtr)
+        Xs, _, _ = checks.standardize(Xtr)
         sel = {m: checks.parse_feature_file(_read(s.outputs[(m, "features")]))
                for m in workloads.METHODS}
         doc = checks.parse_svm_doc(_read(s.outputs[("mcm", "model")]))

@@ -203,9 +203,9 @@ def verify_outputs(w: Workload, sets: list[InputSet], ledger: OutputLedger):
             plan = mcmfs.data.stratified_kfold(mcmfs.cli.load_dataset(s.train_csv),
                                                CV_FOLDS, s.seed).assignments
             problems += [f"{tag}: {p}" for p in checks.check_folds(y, CV_FOLDS, plan)]
+            sizes = [int((plan == f).sum()) for f in range(CV_FOLDS)]
             for m in s.methods:
                 report = checks.parse_report(ledger.text(s.outputs[(m, "report")]))
-                sizes = [int((plan == f).sum()) for f in range(CV_FOLDS)]
                 if report.get("fold_test_sizes") != sizes:
                     problems.append(f"{tag} {m}: report fold sizes {report.get('fold_test_sizes')}"
                                     f" differ from the plan's {sizes}")
