@@ -297,9 +297,12 @@ def check_svm(X, y, C, gamma, support, coeffs, bias, match_tol=0.0):
     Support rows are matched to training rows within `match_tol` (0 demands
     exact equality) to recover the full alpha vector.  Checks 0 <= alpha <= C,
     sum alpha*y = 0, and that some bias satisfies every row's KKT condition
-    within KKT_TOL, i.e. that alpha solves the dual.  Returns (problems,
-    bias_gap): bias_gap is how far the model's own bias lies outside the
-    interval of KKT-consistent biases (0 when inside).
+    within KKT_TOL, i.e. that alpha solves the dual.  When some alpha is free
+    (strictly inside (0, C)) the model's own bias must satisfy KKT too.  When
+    every alpha is at a bound the program may keep the bias of its last SMO
+    step, outside the KKT interval (a known fault), so that bias is not
+    failed.  Returns (problems, bias_gap): bias_gap is how far such a bias
+    lies outside the interval (0 when inside, or when some alpha is free).
     """
     M = X.shape[0]
     y = np.asarray(y, dtype=np.float64)
@@ -334,4 +337,10 @@ def check_svm(X, y, C, gamma, support, coeffs, bias, match_tol=0.0):
     if lo > hi:
         problems.append(f"no bias satisfies KKT: the rows demand b >= {lo:.6g} and b <= {hi:.6g}")
         return problems, 0.0
-    return problems, float(max(lo - bias, bias - hi, 0.0))
+    gap = float(max(lo - bias, bias - hi, 0.0))
+    free = int(np.count_nonzero(need_ge & need_le))
+    if free and gap > 0.0:
+        problems.append(f"bias {bias:.6g} lies outside the KKT interval [{lo:.6g}, {hi:.6g}] "
+                        f"although {free} alphas are free")
+        return problems, 0.0
+    return problems, gap

@@ -51,7 +51,8 @@ def held_out_split(y: np.ndarray, n_test: int):
 def csv_text(X: np.ndarray, y: np.ndarray) -> str:
     """The CSV layout the command line reads: f1..fn then a +-1 label column."""
     n = X.shape[1]
+    row_format = ",".join(["%.12g"] * n)
     lines = [",".join(f"f{j}" for j in range(1, n + 1)) + ",label"]
-    for row, label in zip(X, y):
-        lines.append(",".join(f"{v:.12g}" for v in row) + f",{int(label):+d}")
+    for row, label in zip(X.tolist(), y):
+        lines.append(row_format % tuple(row) + f",{int(label):+d}")
     return "\n".join(lines) + "\n"

@@ -32,6 +32,9 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 WORK_ROOT = os.path.join(ROOT, ".pipebench-work")
 MIN_ROUNDS = 2
+# The input step of the set-up (generate, write and first load of the inputs)
+# runs this many times with --trace 0; setup_s takes the fastest.
+SETUP_REPEATS = 2
 
 
 def since_process_start() -> float:
@@ -104,7 +107,7 @@ def end_to_end(w, sets, seconds, setup_s, ledger):
                 ledger.record(s, m)
     metrics = {}
     for m in workloads.METHODS:
-        times = [best[s.name, m] for s in sets if m in s.methods and not s.expect_failure]
+        times = [best[s.name, m] for s in sets if m in s.methods]
         metrics[f"{m}_s"] = {"value": sum(times) / len(times), "unit": "s"}
     metrics["setup_s"] = {"value": setup_s, "unit": "s"}
     metrics["peak_rss_mb"] = {"value": peak_rss_mb, "unit": "MB"}
@@ -131,10 +134,26 @@ def per_layer(w, sets, seconds, ledger):
         for k, v in tr.layer_values().items():
             if tracing.LAYER_UNITS[k] == "s":
                 values[k] = min(values[k], v)
-    values["trace.round_s"] = min(t for t, _ in traced_rounds)
-    values["trace.overhead_s"] = values["trace.round_s"] - min(plain)
+    values["trace.overhead_s"] = min(t for t, _ in traced_rounds) - min(plain)
     metrics = {k: {"value": values[k], "unit": u} for k, u in tracing.LAYER_UNITS.items()}
     return metrics, first.captured, attempted, failed
+
+
+def make_inputs(w, seed, workdir, repeats):
+    """The set-up's input step, `repeats` times, each into a fresh directory.
+
+    Every repetition writes new files, so each load is the program's first
+    load of that file.  Returns the last repetition's input sets and the
+    fastest repetition's wall time.
+    """
+    import workloads
+
+    fastest = math.inf
+    for r in range(repeats):
+        t0 = time.perf_counter()
+        sets = workloads.make_inputs(w, seed, tempfile.mkdtemp(prefix=f"setup{r}-", dir=workdir))
+        fastest = min(fastest, time.perf_counter() - t0)
+    return sets, fastest
 
 
 def main(argv=None) -> int:
@@ -158,11 +177,12 @@ def main(argv=None) -> int:
                          f"choose from {', '.join(workloads.WORKLOADS)}\n")
         return 2
 
+    import_s = since_process_start()
     os.makedirs(WORK_ROOT, exist_ok=True)
     workdir = tempfile.mkdtemp(prefix=f"{w.name}-", dir=WORK_ROOT)
     try:
-        sets = workloads.make_inputs(w, args.seed, workdir)
-        setup_s = since_process_start()
+        sets, input_s = make_inputs(w, args.seed, workdir, 1 if args.trace else SETUP_REPEATS)
+        setup_s = import_s + input_s
         ledger = workloads.OutputLedger()
         if args.trace:
             metrics, captured, attempted, failed = per_layer(w, sets, args.seconds, ledger)

@@ -51,8 +51,7 @@ def main() -> int:
         s = workloads.InputSet("selftest", workloads.METHODS, 5, train, test, outputs={
             (m, k): os.path.join(work, f"{m}-{k}.txt")
             for m in workloads.METHODS for k in ("features", "model", "labels")})
-        w = workloads.Workload("selftest", "pipeline", 60, 120, sets=1, mcm_sets=1, fault=(),
-                               n_test=30)
+        w = workloads.Workload("selftest", "pipeline", 60, 120, sets=1, mcm_sets=1, n_test=30)
         with tracing.Tracer(capture=True) as tracer:
             ok = all(workloads.run_op(w, s, m, mcmfs.cli.main) for m in workloads.METHODS)
             mcmfs.cli.stratified_kfold(mcmfs.cli.load_dataset(train), 3, 5)
@@ -70,9 +69,9 @@ def main() -> int:
         lp = tracer.captured["lps"][0]
         labels_fold, k, assignments = tracer.captured["folds"][0]
 
-        def svm_problems(coeffs):
+        def svm_problems(coeffs, bias=doc["bias"]):
             return checks.check_svm(Xd, ytr, doc["C"], doc["gamma"], doc["support"], coeffs,
-                                    doc["bias"], match_tol=1e-9)[0]
+                                    bias, match_tol=1e-9)[0]
 
         too_big = doc["coeffs"].copy()
         too_big[0] = np.sign(too_big[0]) * doc["C"] * 1.5
@@ -102,6 +101,8 @@ def main() -> int:
             ("LP objective, moved off the optimum",
              lambda v: checks.check_lp_objective(*lp[:5], v), lp[5], lp[5] * (1 + 1e-4) + 1e-4),
             ("trained SVM, one alpha above C", svm_problems, doc["coeffs"], too_big),
+            ("trained SVM, bias shifted by 0.05",
+             lambda v: svm_problems(doc["coeffs"], v), doc["bias"], doc["bias"] + 0.05),
             ("fold plan, two rows moved to another fold",
              lambda v: checks.check_folds(labels_fold, k, v), assignments, moved),
             ("outputs across rounds, one file changed",

@@ -32,7 +32,7 @@ LAYER_UNITS = {
     "svm.kernel_flop_computed": "flop", "svm.predict_s": "s",
     "svm.predict_rows": "rows", "cli.codec_s": "s", "cli.model_bytes": "bytes",
     "harness.cv_s": "s", "harness.self_s": "s", "cli.self_s": "s",
-    "trace.round_s": "s", "trace.overhead_s": "s",
+    "trace.overhead_s": "s",
 }
 COUNTS = tuple(k for k, u in LAYER_UNITS.items() if u != "s")
 
@@ -171,7 +171,7 @@ class Tracer:
 
     # -- report
     def layer_values(self) -> dict[str, float]:
-        """Every layer metric of LAYER_UNITS except the round-level trace.* ones."""
+        """Every layer metric of LAYER_UNITS except the round-level trace.overhead_s."""
         s = self.seconds
         out = {
             "data.load_s": s["data.load"], "data.standardize_s": s["data.standardize"],

@@ -36,10 +36,8 @@ PIPELINE_SVM_C = 1.0
 # The MCM operations run on input sets that do not depend on --seed.  The
 # program's LP solver fails on a small share of these inputs ("singular basis
 # matrix", exit 1), about 1 in 2000 fold LPs at 100x200 and 1 in 50 LPs at
-# 72x7129, so seeded MCM inputs would fail on some seeds and not others.
-# The fixed sets below are drawn with seed FIXED_SEED; one further fixed
-# input per workload is known to hit the fault and is run every round, so
-# the fault is counted in `failed` at the same share in every run.
+# 72x7129, so seeded MCM inputs would fail on some seeds and not others.  The
+# fixed sets below are drawn with seed FIXED_SEED and all solve.
 FIXED_SEED = 0
 
 
@@ -51,14 +49,12 @@ class Workload:
     n: int             # features
     sets: int          # seeded sets (ReliefF, FCBF) per run
     mcm_sets: int      # fixed sets (MCM) per run
-    fault: tuple       # (data seed, set index, fold seed) of the failing MCM input
     n_test: int = 0    # held-out rows (pipeline only)
 
 
 WORKLOADS = {w.name: w for w in (
-    Workload("cv-100x200", "cv", 100, 200, sets=30, mcm_sets=30, fault=(700, 0, 700)),
-    Workload("pipeline-72x7129", "pipeline", 72, 7129, sets=2, mcm_sets=1,
-             fault=(7, 2, 7002), n_test=36),
+    Workload("cv-100x200", "cv", 100, 200, sets=20, mcm_sets=20),
+    Workload("pipeline-72x7129", "pipeline", 72, 7129, sets=2, mcm_sets=1, n_test=36),
 )}
 
 
@@ -69,11 +65,10 @@ class InputSet:
     seed: int                      # fold seed handed to the program
     train_csv: str
     test_csv: str | None
-    expect_failure: bool = False
     outputs: dict = field(default_factory=dict)   # (method, name) -> path
 
 
-def _write_set(w: Workload, key, name, methods, fold_seed, workdir, expect_failure=False):
+def _write_set(w: Workload, key, name, methods, fold_seed, workdir):
     X, y = inputs.planted(np.random.default_rng(key), w.m + w.n_test, w.n)
     base = os.path.join(workdir, name)
     train_csv, test_csv = base + "-train.csv", None
@@ -85,7 +80,7 @@ def _write_set(w: Workload, key, name, methods, fold_seed, workdir, expect_failu
         X, y = X[tr], y[tr]
     with open(train_csv, "w", encoding="utf-8") as fh:
         fh.write(inputs.csv_text(X, y))
-    s = InputSet(name, methods, fold_seed, train_csv, test_csv, expect_failure)
+    s = InputSet(name, methods, fold_seed, train_csv, test_csv)
     names = ("report",) if w.kind == "cv" else ("features", "model", "labels")
     for m in methods:
         for out in names:
@@ -101,7 +96,6 @@ def make_inputs(w: Workload, seed: int, workdir: str) -> list[InputSet]:
 
     Seeded set i serves ReliefF and FCBF, fixed set i serves MCM; they
     alternate so that every method's operations spread over the round.
-    The failing MCM input comes last.
     """
     sets = []
     for i in range(max(w.sets, w.mcm_sets)):
@@ -111,9 +105,6 @@ def make_inputs(w: Workload, seed: int, workdir: str) -> list[InputSet]:
         if i < w.mcm_sets:
             sets.append(_write_set(w, [FIXED_SEED, w.m, w.n, i], f"mcm{i}", ("mcm",),
                                    FIXED_SEED * 1000 + i, workdir))
-    data_seed, index, fold_seed = w.fault
-    sets.append(_write_set(w, [data_seed, w.m, w.n, index], "fault", ("mcm",), fold_seed,
-                           workdir, expect_failure=True))
     return sets
 
 
@@ -193,8 +184,6 @@ def verify_outputs(w: Workload, sets: list[InputSet], ledger: OutputLedger):
     problems = []
     bias_misses = 0
     for s in sets:
-        if s.expect_failure:
-            continue
         X, y = _read_csv(s.train_csv)
         tag = f"{w.name} {s.name}"
         if w.kind == "cv":
