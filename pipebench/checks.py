@@ -205,14 +205,20 @@ def check_relieff_selection(Xs, y, selected, k=10, fraction=0.4) -> list[str]:
 # --------------------------------------------------------------------- FCBF
 
 def discretize(Xs: np.ndarray, bins: int) -> np.ndarray:
-    """Equal-frequency codes per column from interior quantile boundaries."""
-    qs = np.arange(1, bins) / bins
-    codes = np.empty(Xs.shape, dtype=np.int64)
-    for j in range(Xs.shape[1]):
-        col = Xs[:, j]
-        raw = np.searchsorted(np.unique(np.quantile(col, qs)), col, side="right")
-        codes[:, j] = np.unique(raw, return_inverse=True)[1]
-    return codes
+    """Equal-frequency codes per column from interior quantile boundaries.
+
+    A value's raw code is the number of distinct boundaries at or below it;
+    the codes are the raw codes' dense ranks within each column.
+    """
+    M, n = Xs.shape
+    bounds = np.quantile(Xs, np.arange(1, bins) / bins, axis=0)        # (bins-1, n)
+    distinct = np.ones(bounds.shape, dtype=bool)
+    distinct[1:] = bounds[1:] != bounds[:-1]
+    raw = ((bounds[None, :, :] <= Xs[:, None, :]) & distinct[None]).sum(axis=1)
+    cols = np.broadcast_to(np.arange(n), (M, n))
+    present = np.zeros((bins, n), dtype=np.int64)
+    present[raw, cols] = 1
+    return (np.cumsum(present, axis=0) - 1)[raw, cols]
 
 
 def _entropy_rows(counts: np.ndarray) -> np.ndarray:

@@ -48,7 +48,7 @@ def main(argv=None) -> int:
                 status = 1
                 continue
             result = json.loads(lines[-1])
-            results.append({"seed": seed, **result})
+            results.append({"seed": seed, **result, "stderr": proc.stderr})
             if not result["correct"]:
                 sys.stderr.write(f"{name} seed {seed}: checks failed\n{proc.stderr}")
                 status = 1

@@ -4,13 +4,14 @@ An operation runs the paper's pipeline for one method through the command
 line entry point (`mcmfs.cli.main`), in this process, one call at a time.  A
 round is one operation per (input set, method).  Each workload draws several
 input sets from the run's seed, so the reported time (mean over the sets of
-each set's fastest repetition) averages over inputs, not just over
-repetitions of one input.
+each set's mean repetition, at the reference pace) averages over inputs, not
+just over repetitions of one input.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,11 +51,13 @@ class Workload:
     sets: int          # seeded sets (ReliefF, FCBF) per run
     mcm_sets: int      # fixed sets (MCM) per run
     n_test: int = 0    # held-out rows (pipeline only)
+    mcm_repeats: int = 1   # MCM operations per fixed set and round
 
 
 WORKLOADS = {w.name: w for w in (
-    Workload("cv-100x200", "cv", 100, 200, sets=20, mcm_sets=20),
-    Workload("pipeline-72x7129", "pipeline", 72, 7129, sets=2, mcm_sets=1, n_test=36),
+    Workload("cv-100x200", "cv", 100, 200, sets=40, mcm_sets=20),
+    Workload("pipeline-72x7129", "pipeline", 72, 7129, sets=4, mcm_sets=2, n_test=36,
+             mcm_repeats=2),
 )}
 
 
@@ -66,6 +69,7 @@ class InputSet:
     train_csv: str
     test_csv: str | None
     outputs: dict = field(default_factory=dict)   # (method, name) -> path
+    repeats: int = 1               # operations per method and round
 
 
 def _write_set(w: Workload, key, name, methods, fold_seed, workdir):
@@ -91,20 +95,25 @@ def _write_set(w: Workload, key, name, methods, fold_seed, workdir):
     return s
 
 
-def make_inputs(w: Workload, seed: int, workdir: str) -> list[InputSet]:
+def make_inputs(w: Workload, seed: int, workdir: str, pace) -> list[InputSet]:
     """Generate and write the run's input sets, then let the program load each once.
 
-    Seeded set i serves ReliefF and FCBF, fixed set i serves MCM; they
-    alternate so that every method's operations spread over the round.
+    Seeded set i serves ReliefF and FCBF, fixed set j serves MCM; they are
+    interleaved evenly, seeded set 0 and fixed set 0 first, so that every
+    method's operations spread over the round.  The pace is probed after
+    each set.
     """
+    order = sorted([(i / w.sets, 0, i) for i in range(w.sets)]
+                   + [(j / w.mcm_sets, 1, j) for j in range(w.mcm_sets)])
     sets = []
-    for i in range(max(w.sets, w.mcm_sets)):
-        if i < w.sets:
-            sets.append(_write_set(w, [seed, w.m, w.n, i], f"set{i}", ("relieff", "fcbf"),
-                                   seed * 1000 + i, workdir))
-        if i < w.mcm_sets:
-            sets.append(_write_set(w, [FIXED_SEED, w.m, w.n, i], f"mcm{i}", ("mcm",),
-                                   FIXED_SEED * 1000 + i, workdir))
+    for _, fixed, i in order:
+        key = [FIXED_SEED if fixed else seed, w.m, w.n, i]
+        name, methods = (f"mcm{i}", ("mcm",)) if fixed else (f"set{i}", ("relieff", "fcbf"))
+        t0 = time.perf_counter()
+        sets.append(_write_set(w, key, name, methods, key[0] * 1000 + i, workdir))
+        if fixed:
+            sets[-1].repeats = w.mcm_repeats
+        pace.tick_after(time.perf_counter() - t0)
     return sets
 
 
