@@ -12,7 +12,8 @@ import numpy as np
 
 from . import filters, harness, mcm, svm
 from .data import (DataError, Dataset, Standardizer, apply_standardizer,
-                   fit_standardizer, load_dataset, stratified_kfold)
+                   fit_standardizer, load_dataset, standardizer_from_fields,
+                   standardizer_lines, stratified_kfold)
 
 _EXIT_INPUT = 2
 _EXIT_TRAINING = 3
@@ -240,9 +241,7 @@ def svm_model_to_text(model: svm.SvmModel, standardizer: Standardizer | None = N
     for coef, row in zip(model.coeffs, model.support_samples):
         lines.append("sv " + fmt(coef) + " " + " ".join(fmt(v) for v in row))
     if standardizer is not None:
-        lines.append("means " + " ".join(fmt(v) for v in standardizer.means))
-        lines.append("sds " + " ".join(fmt(v) for v in standardizer.sds))
-        lines.append(f"sd-floor {fmt(standardizer.sd_floor)}")
+        lines += standardizer_lines(standardizer)
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -256,35 +255,29 @@ def svm_model_from_text(text: str) -> tuple[svm.SvmModel, Standardizer | None]:
             continue
         key, _, rest = line.partition(" ")
         if key == "sv":
-            rows.append([float(v) for v in rest.split()])
+            rows.append(rest)
         else:
             fields_[key] = rest
     if fields_.get("svm-model") != "v1":
         raise DataError("not an svm-model v1 document")
     try:
         subset = tuple(int(j) - 1 for j in fields_["subset"].split())
-        coeffs = np.array([r[0] for r in rows])
-        support = np.array([r[1:] for r in rows]).reshape(len(rows), len(subset))
+        sv = np.array([np.array(r.split(), dtype=np.float64) for r in rows])
+        sv = sv.reshape(len(rows), len(subset) + 1)
         model = svm.SvmModel(
-            support_samples=support,
-            coeffs=coeffs,
+            support_samples=sv[:, 1:],
+            coeffs=sv[:, 0],
             bias=float(fields_["bias"]),
             kernel_gamma=float(fields_["kernel-gamma"]),
             C=float(fields_["C"]),
             feature_subset=subset,
             n_features_in=int(fields_["n"]),
         )
-        if int(fields_["support"]) != coeffs.size:
+        if int(fields_["support"]) != len(rows):
             raise DataError("support count does not match the sv lines")
+        standardizer = standardizer_from_fields(fields_)
     except (KeyError, ValueError) as exc:
         raise DataError(f"malformed svm-model document: {exc}") from None
-    standardizer = None
-    if "means" in fields_:
-        standardizer = Standardizer(
-            np.array([float(v) for v in fields_["means"].split()]),
-            np.array([float(v) for v in fields_["sds"].split()]),
-            float(fields_.get("sd-floor", "1e-8")),
-        )
     return model, standardizer
 
 

@@ -133,37 +133,50 @@ def _parse_value(cell: str, where: str) -> float:
     return v
 
 
+def _parse_row(cells: list[str], where: str) -> np.ndarray:
+    """One row's cells as floats, converted by numpy in one call.
+
+    numpy converts each `str` with Python's `float`, so it accepts exactly the
+    cells `_parse_value` accepts.  A row that fails, or holds a non-finite
+    value, is parsed again cell by cell only so that the error names the cell.
+    """
+    try:
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        values = np.array([_parse_value(cell.strip(), where) for cell in cells])
+    return values
+
+
 def _load_csv(path, label_column: str) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise DataError("empty file")
-    header = [h.strip() for h in rows[0]]
-    if label_column not in header:
-        raise DataError(f"label column {label_column!r} not found in header")
-    label_idx = header.index(label_column)
-    names = tuple(h for i, h in enumerate(header) if i != label_idx)
-    if not names:
-        raise DataError("no feature columns")
-    if len(rows) == 1:
-        raise DataError("empty file: header without data rows")
-
-    raw_labels = []
-    data = np.empty((len(rows) - 1, len(names)), dtype=np.float64)
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(f"line {r}: expected {len(header)} fields, got {len(row)}")
-        raw_labels.append(row[label_idx].strip())
-        col = 0
-        for i, cell in enumerate(row):
-            if i == label_idx:
+        reader = csv.reader(fh)
+        header = next((r for r in reader if r), None)
+        if header is None:
+            raise DataError("empty file")
+        header = [h.strip() for h in header]
+        if label_column not in header:
+            raise DataError(f"label column {label_column!r} not found in header")
+        label_idx = header.index(label_column)
+        names = tuple(h for i, h in enumerate(header) if i != label_idx)
+        if not names:
+            raise DataError("no feature columns")
+        raw_labels, rows = [], []
+        for row in reader:
+            if not row:
                 continue
-            data[r - 2, col] = _parse_value(cell.strip(), f"line {r}")
-            col += 1
+            where = f"line {reader.line_num}"
+            if len(row) != len(header):
+                raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            raw_labels.append(row.pop(label_idx).strip())
+            rows.append(_parse_row(row, where))
+    if not rows:
+        raise DataError("empty file: header without data rows")
     mapping = _canonical_label_map(raw_labels)
     labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
     ids = tuple(f"s{i}" for i in range(1, len(raw_labels) + 1))
-    return Dataset(data, labels, names, ids)
+    return Dataset(np.vstack(rows), labels, names, ids)
 
 
 def _load_sparse(path) -> Dataset:
@@ -233,6 +246,27 @@ class Standardizer:
     @property
     def n_features(self) -> int:
         return self.means.shape[0]
+
+
+def standardizer_lines(s: Standardizer) -> list[str]:
+    """The standardizer block of a model document; 17 significant digits keep floats bit-exact."""
+    fmt = lambda v: format(float(v), ".17g")
+    return ["means " + " ".join(fmt(v) for v in s.means),
+            "sds " + " ".join(fmt(v) for v in s.sds),
+            f"sd-floor {fmt(s.sd_floor)}"]
+
+
+def standardizer_from_fields(fields: dict[str, str]) -> Standardizer | None:
+    """Read back the block of `standardizer_lines` from a document's key -> rest map.
+
+    Returns None when the document has no `means` line.  A missing `sds` line
+    raises KeyError and an unparsable value ValueError, for the codec to report.
+    """
+    if "means" not in fields:
+        return None
+    return Standardizer(np.array(fields["means"].split(), dtype=np.float64),
+                        np.array(fields["sds"].split(), dtype=np.float64),
+                        float(fields.get("sd-floor", "1e-8")))
 
 
 def fit_standardizer(train: Dataset, sd_floor: float = SD_FLOOR) -> Standardizer:

@@ -15,6 +15,8 @@ import numpy as np
 
 from .data import DataError, Dataset
 
+_TABLE_CELLS = 1 << 20  # caps one SU block's joint counts at 8 MB
+
 
 @dataclass(frozen=True)
 class FeatureRanking:
@@ -22,7 +24,6 @@ class FeatureRanking:
 
     entries: tuple[tuple[int, float], ...]
     method: str
-    cutoff_rule: str = "none"
 
     def __post_init__(self):
         entries = tuple((int(j), float(s)) for j, s in self.entries)
@@ -129,41 +130,66 @@ def discretize_equal_frequency(d: Dataset, bins: int = 10) -> DiscreteDataset:
     """Quantile-boundary discretization, fitted and applied on `d` itself.
 
     Duplicate quantile boundaries collapse, so skewed or constant features
-    yield fewer than `bins` bins (a constant feature yields one).
+    yield fewer than `bins` bins (a constant feature yields one).  A value's
+    bin is the dense rank, within its column, of the number of boundaries at
+    or below it; a repeated boundary shifts that number but not its rank.
     """
     if bins < 2:
         raise ValueError("bins must be at least 2")
-    M, n = d.samples.shape
-    ids = np.empty((M, n), dtype=np.int64)
-    counts = np.empty(n, dtype=np.int64)
-    qs = np.arange(1, bins) / bins
-    for j in range(n):
-        col = d.samples[:, j]
-        boundaries = np.unique(np.quantile(col, qs))
-        raw = np.searchsorted(boundaries, col, side="right")
-        _, ids[:, j] = np.unique(raw, return_inverse=True)
-        counts[j] = ids[:, j].max() + 1
-    return DiscreteDataset(ids, counts, d.labels)
+    X = d.samples
+    M, n = X.shape
+    raw = np.zeros((M, n), dtype=np.int64)
+    for b in np.quantile(X, np.arange(1, bins) / bins, axis=0):
+        raw += b <= X
+    cols = np.arange(n)
+    present = np.zeros((bins, n), dtype=np.int64)
+    present[raw, cols] = 1
+    ids = (np.cumsum(present, axis=0) - 1)[raw, cols]
+    return DiscreteDataset(ids, present.sum(axis=0), d.labels)
 
 
-def _entropy(counts: np.ndarray) -> float:
-    p = counts[counts > 0] / counts.sum()
-    return float(-(p * np.log2(p)).sum())
+def _entropies(counts: np.ndarray) -> np.ndarray:
+    """Base-2 entropy of each row of a count matrix (0*log(0) counts as 0).
+
+    Rows are grouped by their number of non-zero counts, so each row's terms
+    are summed in their own order over a vector of their own length: the
+    result is bit-identical to computing each row on its own.
+    """
+    nonzero = np.count_nonzero(counts, axis=1)
+    out = np.empty(counts.shape[0])
+    for width in np.unique(nonzero):
+        rows = np.flatnonzero(nonzero == width)
+        block = counts[rows]
+        p = block[block > 0].reshape(rows.size, width) / block.sum(axis=1, keepdims=True)
+        out[rows] = -(p * np.log2(p)).sum(axis=1)
+    return out
 
 
-def _su_codes(x: np.ndarray, y: np.ndarray) -> float:
-    """Symmetrical uncertainty of two integer-coded columns (base-2 logs)."""
-    nx = int(x.max()) + 1
-    ny = int(y.max()) + 1
-    joint = np.bincount(x * ny + y, minlength=nx * ny).reshape(nx, ny)
-    hx = _entropy(joint.sum(axis=1))
-    hy = _entropy(joint.sum(axis=0))
-    denom = hx + hy
-    if denom <= 0.0:
-        return 0.0
-    hxy = _entropy(joint.reshape(-1))
-    su = 2.0 * (hx + hy - hxy) / denom
-    return min(1.0, max(0.0, su))
+def _su(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Symmetrical uncertainty of paired integer-coded columns (base-2 logs).
+
+    `xs` and `ys` are (M, k) code matrices, either one may be (M, 1) to pair
+    a single column with k others; entry j of the result is SU(xs_j, ys_j),
+    built from the joint table indexed [x, y].  Columns are counted in blocks
+    whose tables hold at most `_TABLE_CELLS` cells.
+    """
+    xs, ys = np.broadcast_arrays(xs, ys)
+    k = xs.shape[1]
+    nx = int(xs.max()) + 1
+    ny = int(ys.max()) + 1
+    step = max(1, _TABLE_CELLS // (nx * ny))
+    su = np.zeros(k)
+    for lo in range(0, k, step):
+        x, y = xs[:, lo:lo + step], ys[:, lo:lo + step]
+        w = x.shape[1]
+        cells = (np.arange(w) * nx + x) * ny + y
+        joint = np.bincount(cells.ravel(), minlength=w * nx * ny).reshape(w, nx, ny)
+        hx = _entropies(joint.sum(axis=2))
+        hy = _entropies(joint.sum(axis=1))
+        hxy = _entropies(joint.reshape(w, -1))
+        denom = hx + hy
+        np.divide(2.0 * (hx + hy - hxy), denom, out=su[lo:lo + w], where=denom > 0.0)
+    return np.clip(su, 0.0, 1.0)
 
 
 def symmetrical_uncertainty(x, y) -> float:
@@ -178,7 +204,7 @@ def symmetrical_uncertainty(x, y) -> float:
         raise ValueError("x and y must be nonempty 1-D arrays of equal length")
     _, xi = np.unique(x, return_inverse=True)
     _, yi = np.unique(y, return_inverse=True)
-    return _su_codes(xi, yi)
+    return float(_su(xi[:, None], yi[:, None])[0])
 
 
 def fcbf_select(dd: DiscreteDataset, delta: float = 0.0) -> tuple[int, ...]:
@@ -192,32 +218,13 @@ def fcbf_select(dd: DiscreteDataset, delta: float = 0.0) -> tuple[int, ...]:
     X = dd.samples
     n = X.shape[1]
     _, yi = np.unique(dd.labels, return_inverse=True)
-    su_class = np.array([_su_codes(X[:, j], yi) for j in range(n)])
+    su_class = _su(X, yi[:, None])
     order = np.lexsort((np.arange(n), -su_class))
-    queue = [int(j) for j in order if su_class[j] > delta]
+    queue = order[su_class[order] > delta]
     survivors = []
-    while queue:
-        f = queue.pop(0)
+    while queue.size:
+        f, queue = int(queue[0]), queue[1:]
         survivors.append(f)
-        queue = [g for g in queue if _su_codes(X[:, f], X[:, g]) < su_class[g]]
+        if queue.size:
+            queue = queue[_su(X[:, [f]], X[:, queue]) < su_class[queue]]
     return tuple(sorted(survivors))
-
-
-def su_rank(dd: DiscreteDataset) -> FeatureRanking:
-    """Ranking of all features by SU against the class (descending)."""
-    X = dd.samples
-    n = X.shape[1]
-    _, yi = np.unique(dd.labels, return_inverse=True)
-    su_class = np.array([_su_codes(X[:, j], yi) for j in range(n)])
-    order = np.lexsort((np.arange(n), -su_class))
-    entries = tuple((int(j), float(su_class[j])) for j in order)
-    return FeatureRanking(entries, method="fcbf")
-
-
-def ranking_to_text(r: FeatureRanking, feature_names=None) -> str:
-    """Two-column plain-text table: feature name (or index), score."""
-    lines = [f"# ranking method={r.method} cutoff={r.cutoff_rule}"]
-    for j, score in r.entries:
-        name = feature_names[j] if feature_names is not None else str(j + 1)
-        lines.append(f"{name}\t{score:.17g}")
-    return "\n".join(lines) + "\n"

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataError, Dataset, Standardizer
+from .data import (DataError, Dataset, Standardizer, standardizer_from_fields,
+                   standardizer_lines)
 from .linprog import GE, LE, LinearProgram, LpStatus, solve_lp
 
 VARIANT_PAPER = "paper"      # slack enters both the capacity and the margin rows
@@ -254,9 +255,7 @@ def mcm_model_to_text(model: McmModel, standardizer: Standardizer | None = None)
         "selected " + (" ".join(str(j) for j in model.selected) if model.selected else "-"),
     ]
     if standardizer is not None:
-        lines.append("means " + " ".join(_fmt(v) for v in standardizer.means))
-        lines.append("sds " + " ".join(_fmt(v) for v in standardizer.sds))
-        lines.append(f"sd-floor {_fmt(standardizer.sd_floor)}")
+        lines += standardizer_lines(standardizer)
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -288,17 +287,11 @@ def mcm_model_from_text(text: str) -> tuple[McmModel, Standardizer | None]:
             objective_value=float(fields.get("objective", "nan")),
             lp_iterations=0,
         )
+        standardizer = standardizer_from_fields(fields)
     except (KeyError, ValueError) as exc:
         raise DataError(f"malformed mcm-model document: {exc}") from None
     if model.n_features != n:
         raise DataError("weight count does not match the declared dimension")
-    standardizer = None
-    if "means" in fields:
-        standardizer = Standardizer(
-            np.array([float(v) for v in fields["means"].split()]),
-            np.array([float(v) for v in fields["sds"].split()]),
-            float(fields.get("sd-floor", "1e-8")),
-        )
     return model, standardizer
 
 

@@ -39,7 +39,8 @@ class SvmModel:
         coeffs.setflags(write=False)
         object.__setattr__(self, "support_samples", support)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "feature_subset", tuple(int(j) for j in self.feature_subset))
+        object.__setattr__(self, "feature_subset",
+                           _validate_subset(self.feature_subset, self.n_features_in))
 
 
 def rbf_kernel(x, z, kernel_gamma: float) -> float:

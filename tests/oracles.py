@@ -2,12 +2,16 @@
 
 Everything here trades efficiency for obvious correctness: exhaustive vertex
 and ray enumeration for linear programs, exhaustive active-set enumeration for
-the kernel-machine dual, and a literal double-loop neighbor scan for the
-relevance weights.  None of it shares code with the package under test.
+the kernel-machine dual, a literal double-loop neighbor scan for the
+relevance weights, and the per-cell, per-column and per-pair loops that the
+package's CSV loader, discretizer and FCBF replace with whole-matrix numpy.
+None of it shares code with the package under test.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -218,3 +222,96 @@ def relieff_weights_naive(X, y, k):
         for j in misses:
             W += np.abs(X[i] - X[j]) / ranges / (M * k)
     return W
+
+
+def load_csv_cellwise(path, label_column="label"):
+    """Per-cell CSV reader: (samples, raw label strings, feature names).
+
+    Raises ValueError with the loader's messages, except that its line
+    numbers count non-blank rows rather than physical lines.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    if not rows:
+        raise ValueError("empty file")
+    header = [h.strip() for h in rows[0]]
+    if label_column not in header:
+        raise ValueError(f"label column {label_column!r} not found in header")
+    label_idx = header.index(label_column)
+    names = tuple(h for i, h in enumerate(header) if i != label_idx)
+    if not names:
+        raise ValueError("no feature columns")
+    if len(rows) == 1:
+        raise ValueError("empty file: header without data rows")
+    raw_labels = []
+    data = np.empty((len(rows) - 1, len(names)), dtype=np.float64)
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"line {r}: expected {len(header)} fields, got {len(row)}")
+        raw_labels.append(row[label_idx].strip())
+        col = 0
+        for i, cell in enumerate(row):
+            if i == label_idx:
+                continue
+            cell = cell.strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValueError(f"line {r}: cannot parse {cell!r} as a real number") from None
+            if not math.isfinite(v):
+                raise ValueError(f"line {r}: non-finite value {cell!r}")
+            data[r - 2, col] = v
+            col += 1
+    return data, raw_labels, names
+
+
+def discretize_columnwise(X, bins):
+    """Equal-frequency bin ids and bin counts, one column at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    M, n = X.shape
+    ids = np.empty((M, n), dtype=np.int64)
+    counts = np.empty(n, dtype=np.int64)
+    qs = np.arange(1, bins) / bins
+    for j in range(n):
+        col = X[:, j]
+        boundaries = np.unique(np.quantile(col, qs))
+        raw = np.searchsorted(boundaries, col, side="right")
+        _, ids[:, j] = np.unique(raw, return_inverse=True)
+        counts[j] = ids[:, j].max() + 1
+    return ids, counts
+
+
+def _entropy(counts):
+    p = counts[counts > 0] / counts.sum()
+    return float(-(p * np.log2(p)).sum())
+
+
+def su_codes(x, y):
+    """Symmetrical uncertainty of two integer-coded columns from their joint table."""
+    nx = int(x.max()) + 1
+    ny = int(y.max()) + 1
+    joint = np.bincount(x * ny + y, minlength=nx * ny).reshape(nx, ny)
+    hx = _entropy(joint.sum(axis=1))
+    hy = _entropy(joint.sum(axis=0))
+    denom = hx + hy
+    if denom <= 0.0:
+        return 0.0
+    hxy = _entropy(joint.reshape(-1))
+    su = 2.0 * (hx + hy - hxy) / denom
+    return min(1.0, max(0.0, su))
+
+
+def fcbf_pairwise(X, labels, delta=0.0):
+    """FCBF with one SU call per (feature, class) and (survivor, candidate) pair."""
+    X = np.asarray(X)
+    n = X.shape[1]
+    _, yi = np.unique(labels, return_inverse=True)
+    su_class = np.array([su_codes(X[:, j], yi) for j in range(n)])
+    order = np.lexsort((np.arange(n), -su_class))
+    queue = [int(j) for j in order if su_class[j] > delta]
+    survivors = []
+    while queue:
+        f = queue.pop(0)
+        survivors.append(f)
+        queue = [g for g in queue if su_codes(X[:, f], X[:, g]) < su_class[g]]
+    return tuple(sorted(survivors))

@@ -139,6 +139,29 @@ class TestTrainPredict:
         assert code == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,edit", [
+        ("mcm", lambda lines: [l for l in lines if not l.startswith("sds ")]),
+        ("svm", lambda lines: [l for l in lines if not l.startswith("sds ")]),
+        ("svm", lambda lines: ["subset 1 2 99" if l.startswith("subset ") else l for l in lines]),
+        ("svm", lambda lines: ["subset 1 1 3" if l.startswith("subset ") else l for l in lines]),
+        ("svm", lambda lines: [l.replace("sv ", "sv x", 1) if l.startswith("sv ") else l
+                               for l in lines]),
+    ], ids=["mcm-without-sds", "svm-without-sds", "svm-subset-out-of-range",
+            "svm-subset-duplicated", "svm-non-numeric-sv"])
+    def test_malformed_model_document_is_input_error(self, csv_path, tmp_path, capsys,
+                                                     kind, edit):
+        model = tmp_path / "m.txt"
+        assert main(["train", "--input", csv_path, "--model-kind", kind,
+                     "--out", str(model)]) == 0
+        lines = model.read_text().splitlines()
+        model.write_text("\n".join(edit(lines)) + "\n")
+        out = tmp_path / "o.txt"
+        code = main(["predict", "--input", csv_path, "--model", str(model),
+                     "--out", str(out)])
+        assert code == 2
+        assert "input error: malformed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dimension_mismatch(self, csv_path, tmp_path, capsys):
         model = tmp_path / "m.txt"
         assert main(["train", "--input", csv_path, "--out", str(model)]) == 0

@@ -1,17 +1,21 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmfs.data import (
     DataError,
     Dataset,
     FoldPlan,
+    _canonical_label_map,
     apply_standardizer,
     fit_standardizer,
     load_dataset,
     stratified_kfold,
 )
+from oracles import load_csv_cellwise
 from support import make_dataset
 
 
@@ -67,6 +71,92 @@ class TestCsvLoading:
         p = write(tmp_path, "d.csv", "")
         with pytest.raises(DataError, match="empty"):
             load_dataset(p)
+
+    def test_blank_lines_skipped_and_errors_name_physical_line(self, tmp_path):
+        p = write(tmp_path, "d.csv", "a,label\n\n1,1\n\nx,2\n")
+        with pytest.raises(DataError, match=r"^line 5: cannot parse 'x'"):
+            load_dataset(p)
+        p = write(tmp_path, "d.csv", "a,label\n\n1,1\n\n3,2\n\n")
+        assert load_dataset(p).samples[:, 0].tolist() == [1.0, 3.0]
+
+    def test_quoted_fields(self, tmp_path):
+        p = write(tmp_path, "d.csv", '"f,1",label\n"1.5","a,b"\n" 2 ",c\n')
+        d = load_dataset(p)
+        assert d.feature_names == ("f,1",)
+        assert d.samples[:, 0].tolist() == [1.5, 2.0]
+        assert d.labels.tolist() == [-1, 1]
+
+
+# Cells the per-cell reader accepts or rejects in every way that matters:
+# padding, signs, exponents, underscores, non-ASCII digits, overflow to inf,
+# nan, and text.
+CELLS = ("0", "-0", "1.5", " 2.25 ", "\t-3e-2", "+4", ".5", "5.", "1_000", "\u0661\u0662",
+         "1e-400", "1e400", "-1e400", "nan", "NaN", "inf", "-Infinity",
+         "x", "", " ", "0x10", "1__0", "1,5")
+LABEL_PAIRS = (("a", "b"), ("-1", "+1"), ("2", "10"), (" b", "a,b"), ("a", "b", "c"))
+
+
+@st.composite
+def csv_documents(draw):
+    """A CSV document as physical lines, with blank lines, quoting and ragged rows."""
+    n = draw(st.integers(1, 4))
+    label_pos = draw(st.integers(0, n))
+    names = [draw(st.sampled_from((f"f{j}", f" f{j} ", f"f,{j}", "f0"))) for j in range(n)]
+    header = names[:label_pos] + ["label"] + names[label_pos:]
+    labels = draw(st.sampled_from(LABEL_PAIRS))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".12g"))
+    cell = draw(st.sampled_from((finite, st.one_of(finite, st.sampled_from(CELLS)))))
+    extra = st.sampled_from((0, -1, 1) if draw(st.integers(0, 3)) == 0 else (0,))
+    rows = [header]
+    for _ in range(draw(st.integers(0, 5))):
+        row = [draw(cell) for _ in range(n)]
+        row.insert(label_pos, draw(st.sampled_from(labels)))
+        ragged = draw(extra)
+        rows.append(row[:ragged] if ragged < 0 else row + ["1"] * ragged)
+    lines = []
+    for row in rows:
+        quoted = [f'"{c}"' if "," in c or draw(st.booleans()) else c for c in row]
+        lines.append(",".join(quoted))
+        lines += [""] * draw(st.integers(0, 2 if draw(st.booleans()) else 0))
+    return lines
+
+
+def _outcome(load, path):
+    """('ok', bytes, labels, names) or ('error', message) for one loader."""
+    try:
+        samples, labels, names = load(path)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", samples.tobytes(), labels, names)
+
+
+def _load_package(path):
+    d = load_dataset(path)
+    return d.samples, d.labels.tolist(), d.feature_names
+
+
+def _load_oracle(path):
+    samples, raw, names = load_csv_cellwise(path)
+    mapping = _canonical_label_map(raw)
+    d = Dataset(samples, [mapping[v] for v in raw], names,
+                tuple(f"s{i}" for i in range(1, len(raw) + 1)))
+    return d.samples, d.labels.tolist(), d.feature_names
+
+
+class TestCsvMatchesCellwiseReader:
+    @settings(max_examples=300)
+    @given(csv_documents(), st.sampled_from(("\n", "\r\n")))
+    def test_same_dataset_or_error(self, tmp_path_factory, lines, newline):
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        got = _outcome(_load_package, str(path))
+        want = _outcome(_load_oracle, str(path))
+        if want[0] == "error":
+            # The reference counts non-blank rows; the loader names physical lines.
+            physical = [i for i, line in enumerate(lines, start=1) if line]
+            want = ("error", re.sub(r"^line (\d+)",
+                                    lambda m: f"line {physical[int(m.group(1)) - 1]}", want[1]))
+        assert got == want
 
 
 class TestSparseLoading:
