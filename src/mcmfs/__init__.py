@@ -16,12 +16,11 @@ from .harness import (CvReport, HarnessConfig, MethodRecord, compare_methods,
                       format_table, report_to_text, run_method_cv)
 from .linprog import (EQ, GE, LE, LinearProgram, LpSolution, LpStatus,
                       dump_lp, solve_lp)
-from .mcm import (EmptySelectionWarning, McmModel, McmTrainingError,
-                  NotSeparatingError, build_mcm_lp, load_mcm_model,
-                  margin_ratio, mcm_classify, mcm_decision, reselect,
-                  save_mcm_model, select_features, train_mcm, vc_bound_term)
-from .svm import (SvmModel, SvmTrainingError, grid_search, rbf_kernel,
-                  svm_decision, svm_predict, svm_predict_batch, train_svm)
+from .mcm import (McmModel, McmTrainingError, NotSeparatingError, build_mcm_lp,
+                  margin_ratio, mcm_classify, mcm_decision, reselect, train_mcm,
+                  vc_bound_term)
+from .svm import (SvmModel, SvmTrainingError, grid_search, svm_decision_values,
+                  svm_predict_batch, train_svm)
 
 __version__ = "0.1.0"
 
@@ -35,11 +34,10 @@ __all__ = [
     "format_table", "report_to_text", "run_method_cv",
     "EQ", "GE", "LE", "LinearProgram", "LpSolution", "LpStatus",
     "dump_lp", "solve_lp",
-    "EmptySelectionWarning", "McmModel", "McmTrainingError", "NotSeparatingError",
-    "build_mcm_lp", "load_mcm_model", "margin_ratio", "mcm_classify",
-    "mcm_decision", "reselect", "save_mcm_model", "select_features",
-    "train_mcm", "vc_bound_term",
-    "SvmModel", "SvmTrainingError", "grid_search", "rbf_kernel",
-    "svm_decision", "svm_predict", "svm_predict_batch", "train_svm",
+    "McmModel", "McmTrainingError", "NotSeparatingError", "build_mcm_lp",
+    "margin_ratio", "mcm_classify", "mcm_decision", "reselect", "train_mcm",
+    "vc_bound_term",
+    "SvmModel", "SvmTrainingError", "grid_search", "svm_decision_values",
+    "svm_predict_batch", "train_svm",
     "__version__",
 ]

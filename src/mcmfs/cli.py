@@ -10,10 +10,10 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import filters, harness, mcm, svm
-from .data import (DataError, Dataset, Standardizer, apply_standardizer,
-                   fit_standardizer, load_dataset, standardizer_from_fields,
-                   standardizer_lines, stratified_kfold)
+from . import harness, mcm, svm
+from .data import (SD_FLOOR, DataError, Dataset, Standardizer, apply_standardizer,
+                   fit_standardizer, load_dataset, require_two_classes,
+                   standardizer_from_fields, standardizer_lines, stratified_kfold)
 
 _EXIT_INPUT = 2
 _EXIT_TRAINING = 3
@@ -46,12 +46,6 @@ def _load(args) -> Dataset:
     return load_dataset(args.input, fmt=args.format, label_column=args.label_column)
 
 
-def _require_two_classes(d: Dataset) -> None:
-    counts = d.class_counts()
-    if counts[-1] == 0 or counts[1] == 0:
-        raise DataError("single-class dataset")
-
-
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(v) for v in text.split(",") if v.strip())
@@ -60,6 +54,65 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if not values:
         raise ValueError("grid must not be empty")
     return values
+
+
+# One row per HarnessConfig field: its flag, the argparse keywords other than
+# the default (which HarnessConfig() supplies) and the commands that take it.
+# Grids stay strings until _config, so that a malformed one is an option error
+# that main() reports instead of an argparse exit.
+_CONFIG_FLAGS = (
+    ("--selection", "selection", ("benchmark",),
+     dict(choices=harness.SELECTIONS,
+          help="select per training fold, or once on the full dataset")),
+    ("--seed", "seed", ("select", "benchmark"), dict(type=int)),
+    ("--C", "mcm_C", ("select", "train", "benchmark"),
+     dict(type=float, help="slack trade-off (mcm)")),
+    ("--mcm-variant", "mcm_variant", ("select", "train", "benchmark"),
+     dict(choices=(mcm.VARIANT_PAPER, mcm.VARIANT_CLASSIC),
+          help="capacity rows with or without the slack term")),
+    ("--mcm-tune-C", "mcm_tune_C", ("benchmark",),
+     dict(action="store_true", help="pick C by inner 3-fold accuracy instead of --C")),
+    ("--rel-tol", "mcm_rel_tol", ("select", "train", "benchmark"),
+     dict(type=float, help="relative weight threshold (mcm)")),
+    ("--k-neighbors", "relieff_k", ("select", "benchmark"),
+     dict(type=int, help="neighbors per class (relieff)")),
+    ("--fraction", "fraction", ("select", "benchmark"),
+     dict(type=float, help="cumulative score mass to keep (relieff)")),
+    ("--bins", "fcbf_bins", ("select", "benchmark"),
+     dict(type=int, help="discretization bins (fcbf)")),
+    ("--delta", "fcbf_delta", ("select", "benchmark"),
+     dict(type=float, help="relevance threshold (fcbf)")),
+    ("--svm-c-grid", "svm_C_grid", ("benchmark",),
+     dict(help="comma-separated C grid (default powers of two, -5..15 step 2)")),
+    ("--svm-gamma-grid", "svm_gamma_grid", ("benchmark",),
+     dict(help="comma-separated gamma grid (default powers of two, -15..3 step 2)")),
+    ("--inner-folds", "inner_folds", ("benchmark",), dict(type=int)),
+)
+_GRID_FIELDS = ("svm_C_grid", "svm_gamma_grid")
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _add_config_args(p: argparse.ArgumentParser, command: str) -> None:
+    defaults = harness.HarnessConfig()
+    for flag, field, commands, kwargs in _CONFIG_FLAGS:
+        if command in commands:
+            p.add_argument(flag, default=getattr(defaults, field), **kwargs)
+
+
+def _config(args) -> harness.HarnessConfig:
+    """The HarnessConfig the command's flags describe; flags it lacks keep their defaults."""
+    values = {}
+    for flag, field, _, _ in _CONFIG_FLAGS:
+        value = getattr(args, _dest(flag), None)
+        if value is None:
+            continue
+        if field in _GRID_FIELDS and isinstance(value, str):
+            value = _parse_grid(value)
+        values[field] = value
+    return harness.HarnessConfig(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,31 +126,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("select", help="select features and write their indices")
     _add_input_args(ps)
-    ps.add_argument("--method", choices=harness.METHODS, default="mcm")
+    ps.add_argument("--method", choices=harness.METHODS, default=harness.METHODS[0])
     ps.add_argument("--out", required=True, help="output feature list")
-    ps.add_argument("--C", type=float, default=1.0, help="slack trade-off (mcm)")
-    ps.add_argument("--mcm-variant", choices=(mcm.VARIANT_PAPER, mcm.VARIANT_CLASSIC),
-                    default=mcm.VARIANT_PAPER,
-                    help="capacity rows with or without the slack term")
-    ps.add_argument("--rel-tol", type=float, default=mcm.REL_TOL,
-                    help="relative weight threshold (mcm)")
-    ps.add_argument("--fraction", type=float, default=0.4,
-                    help="cumulative score mass to keep (relieff)")
-    ps.add_argument("--k-neighbors", type=int, default=10, help="neighbors per class (relieff)")
-    ps.add_argument("--delta", type=float, default=0.0, help="relevance threshold (fcbf)")
-    ps.add_argument("--bins", type=int, default=10, help="discretization bins (fcbf)")
-    ps.add_argument("--seed", type=int, default=42)
+    _add_config_args(ps, "select")
 
     pt = sub.add_parser("train", help="train a model and write its document")
     _add_input_args(pt)
     pt.add_argument("--model-kind", choices=("mcm", "svm"), default="mcm")
     pt.add_argument("--out", required=True, help="output model document")
-    pt.add_argument("--C", type=float, default=1.0, help="slack trade-off (mcm)")
-    pt.add_argument("--mcm-variant", choices=(mcm.VARIANT_PAPER, mcm.VARIANT_CLASSIC),
-                    default=mcm.VARIANT_PAPER)
+    _add_config_args(pt, "train")
     pt.add_argument("--hard-margin", action="store_true",
                     help="drop slacks entirely (mcm; fails on inseparable data)")
-    pt.add_argument("--rel-tol", type=float, default=mcm.REL_TOL)
     pt.add_argument("--svm-C", type=float, default=1.0)
     pt.add_argument("--svm-gamma", type=float, default=0.5)
     pt.add_argument("--features", default=None,
@@ -110,76 +149,63 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("benchmark", help="cross-validated method comparison")
     _add_input_args(pb)
-    pb.add_argument("--methods", default="mcm,relieff,fcbf",
-                    help="comma-separated subset of mcm,relieff,fcbf")
+    pb.add_argument("--methods", default=",".join(harness.METHODS),
+                    help="comma-separated subset of " + ",".join(harness.METHODS))
     pb.add_argument("--folds", type=int, default=5)
-    pb.add_argument("--seed", type=int, default=42)
-    pb.add_argument("--selection", choices=("per_fold", "global"), default="per_fold",
-                    help="select per training fold, or once on the full dataset")
     pb.add_argument("--report", required=True, help="output report file")
     pb.add_argument("--table", action="store_true", help="print the comparison table")
     pb.add_argument("--timings", action="store_true",
                     help="include wall-clock timings in the report "
                          "(makes the file run-dependent)")
     pb.add_argument("--dataset-name", default=None, help="row label (default: file stem)")
-    pb.add_argument("--C", type=float, default=1.0, help="slack trade-off (mcm)")
-    pb.add_argument("--mcm-variant", choices=(mcm.VARIANT_PAPER, mcm.VARIANT_CLASSIC),
-                    default=mcm.VARIANT_PAPER)
-    pb.add_argument("--mcm-tune-C", action="store_true",
-                    help="pick C by inner 3-fold accuracy instead of --C")
-    pb.add_argument("--rel-tol", type=float, default=mcm.REL_TOL)
-    pb.add_argument("--fraction", type=float, default=0.4)
-    pb.add_argument("--k-neighbors", type=int, default=10)
-    pb.add_argument("--delta", type=float, default=0.0)
-    pb.add_argument("--bins", type=int, default=10)
-    pb.add_argument("--svm-c-grid", default=None,
-                    help="comma-separated C grid (default powers of two, -5..15 step 2)")
-    pb.add_argument("--svm-gamma-grid", default=None,
-                    help="comma-separated gamma grid (default powers of two, -15..3 step 2)")
-    pb.add_argument("--inner-folds", type=int, default=5)
+    _add_config_args(pb, "benchmark")
     return p
 
 
-def _config_text() -> str:
+# Library constants that --show-config lists after the field they follow.
+_FIXED_AFTER = {
+    "mcm_tune_C": (("mcm_C_grid", harness.MCM_C_GRID),),
+    "inner_folds": (("svm_kkt_tol", svm.KKT_TOL), ("svm_max_passes", svm.MAX_PASSES)),
+}
+
+
+def _config_text(parser: argparse.ArgumentParser) -> str:
+    """Every default a flag reads, taken from a benchmark command line without options."""
+    args = parser.parse_args(["benchmark", "--input", "", "--report", ""])
+    cfg = _config(args)
+    settings = []
+    for f in fields(cfg):
+        settings.append((f.name, getattr(cfg, f.name)))
+        settings += _FIXED_AFTER.get(f.name, ())
+    settings += [("folds", args.folds), ("label_column", args.label_column),
+                 ("format", args.format), ("sd_floor", SD_FLOOR),
+                 ("selection_abs_floor", mcm.ABS_FLOOR)]
     lines = ["mcmfs defaults"]
-    for f in fields(harness.HarnessConfig):
-        value = getattr(harness.HarnessConfig(), f.name)
+    for name, value in settings:
         if isinstance(value, tuple):
             value = ",".join(f"{v:g}" for v in value)
-        lines.append(f"  {f.name} = {value}")
-    lines.append("  folds = 5")
-    lines.append("  label_column = label")
-    lines.append("  format = csv")
-    lines.append("  sd_floor = 1e-08")
-    lines.append("  selection_abs_floor = 1e-10")
+        lines.append(f"  {name} = {value}")
     lines.append("  feature indices in files are 1-based")
     return "\n".join(lines) + "\n"
 
 
-def _selection_params(args) -> str:
-    if args.method == "mcm":
-        return f"C={args.C:g} variant={args.mcm_variant} rel-tol={args.rel_tol:g}"
-    if args.method == "relieff":
-        return f"k-neighbors={args.k_neighbors} fraction={args.fraction:g} seed={args.seed}"
-    return f"bins={args.bins} delta={args.delta:g}"
+def _selection_params(method: str, cfg: harness.HarnessConfig) -> str:
+    if method == "mcm":
+        return f"C={cfg.mcm_C:g} variant={cfg.mcm_variant} rel-tol={cfg.mcm_rel_tol:g}"
+    if method == "relieff":
+        return f"k-neighbors={cfg.relieff_k} fraction={cfg.fraction:g} seed={cfg.seed}"
+    return f"bins={cfg.fcbf_bins} delta={cfg.fcbf_delta:g}"
 
 
 def _cmd_select(args) -> int:
     d = _load(args)
-    _require_two_classes(d)
+    require_two_classes(d)
+    cfg = _config(args)
     std = fit_standardizer(d)
     ds = apply_standardizer(std, d)
-    if args.method == "mcm":
-        model = mcm.train_mcm(ds, C=args.C, variant=args.mcm_variant, rel_tol=args.rel_tol)
-        selected = model.selected
-    elif args.method == "relieff":
-        ranking = filters.relieff_rank(ds, k_neighbors=args.k_neighbors, seed=args.seed)
-        selected = filters.cumulative_fraction_select(ranking, args.fraction)
-    else:
-        dd = filters.discretize_equal_frequency(ds, bins=args.bins)
-        selected = filters.fcbf_select(dd, delta=args.delta)
+    selected = harness._select_features(ds, args.method, cfg)
     lines = [
-        f"# mcmfs select method={args.method} {_selection_params(args)}",
+        f"# mcmfs select method={args.method} {_selection_params(args.method, cfg)}",
         "# columns: index(1-based) name",
     ]
     if not selected:
@@ -211,7 +237,7 @@ def _read_feature_file(path: str, n_features: int) -> tuple[int, ...]:
 
 def _cmd_train(args) -> int:
     d = _load(args)
-    _require_two_classes(d)
+    require_two_classes(d)
     std = fit_standardizer(d)
     ds = apply_standardizer(std, d)
     if args.model_kind == "mcm":
@@ -309,31 +335,15 @@ def _cmd_predict(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     d = _load(args)
-    _require_two_classes(d)
+    require_two_classes(d)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     for m in methods:
         if m not in harness.METHODS:
             raise ValueError(f"unknown method {m!r}")
     if not methods:
         raise ValueError("no methods given")
-    cfg = harness.HarnessConfig(
-        selection=args.selection,
-        seed=args.seed,
-        mcm_C=args.C,
-        mcm_variant=args.mcm_variant,
-        mcm_tune_C=args.mcm_tune_C,
-        mcm_rel_tol=args.rel_tol,
-        relieff_k=args.k_neighbors,
-        fraction=args.fraction,
-        fcbf_bins=args.bins,
-        fcbf_delta=args.delta,
-        svm_C_grid=(_parse_grid(args.svm_c_grid) if args.svm_c_grid
-                    else svm.DEFAULT_C_GRID),
-        svm_gamma_grid=(_parse_grid(args.svm_gamma_grid) if args.svm_gamma_grid
-                        else svm.DEFAULT_GAMMA_GRID),
-        inner_folds=args.inner_folds,
-    )
-    plan = stratified_kfold(d, args.folds, args.seed)
+    cfg = _config(args)
+    plan = stratified_kfold(d, args.folds, cfg.seed)
     name = args.dataset_name
     if name is None:
         name = os.path.splitext(os.path.basename(args.input))[0]
@@ -356,7 +366,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.show_config:
-        sys.stdout.write(_config_text())
+        sys.stdout.write(_config_text(parser))
         return 0
     if not args.command:
         parser.print_usage(sys.stderr)
@@ -364,10 +374,11 @@ def main(argv=None) -> int:
         return _EXIT_INPUT
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return _EXIT_INPUT
-    except (mcm.McmTrainingError, svm.SvmTrainingError) as exc:
+    except (mcm.McmTrainingError, svm.SvmTrainingError, ArithmeticError) as exc:
+        # ArithmeticError: the LP solver's singular-basis and phase-1 faults
         sys.stderr.write(f"training error: {exc}\n")
         return _EXIT_TRAINING
     except ValueError as exc:

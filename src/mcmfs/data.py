@@ -109,6 +109,12 @@ class Dataset:
         )
 
 
+def require_two_classes(d: Dataset) -> None:
+    """Raise DataError unless `d` holds samples of both classes."""
+    if 0 in d.class_counts().values():
+        raise DataError("single-class dataset")
+
+
 def load_dataset(path, fmt: str = "csv", label_column: str = "label") -> Dataset:
     """Read a dataset from `path` in either supported text format.
 
@@ -152,25 +158,32 @@ def _parse_row(cells: list[str], where: str) -> np.ndarray:
 def _load_csv(path, label_column: str) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next((r for r in reader if r), None)
-        if header is None:
-            raise DataError("empty file")
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise DataError(f"label column {label_column!r} not found in header")
-        label_idx = header.index(label_column)
-        names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        if not names:
-            raise DataError("no feature columns")
-        raw_labels, rows = [], []
-        for row in reader:
-            if not row:
-                continue
-            where = f"line {reader.line_num}"
-            if len(row) != len(header):
-                raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
-            raw_labels.append(row.pop(label_idx).strip())
-            rows.append(_parse_row(row, where))
+        try:
+            return _read_csv(reader, label_column)
+        except csv.Error as exc:
+            raise DataError(f"line {reader.line_num}: {exc}") from None
+
+
+def _read_csv(reader, label_column: str) -> Dataset:
+    header = next((r for r in reader if r), None)
+    if header is None:
+        raise DataError("empty file")
+    header = [h.strip() for h in header]
+    if label_column not in header:
+        raise DataError(f"label column {label_column!r} not found in header")
+    label_idx = header.index(label_column)
+    names = tuple(h for i, h in enumerate(header) if i != label_idx)
+    if not names:
+        raise DataError("no feature columns")
+    raw_labels, rows = [], []
+    for row in reader:
+        if not row:
+            continue
+        where = f"line {reader.line_num}"
+        if len(row) != len(header):
+            raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        raw_labels.append(row.pop(label_idx).strip())
+        rows.append(_parse_row(row, where))
     if not rows:
         raise DataError("empty file: header without data rows")
     mapping = _canonical_label_map(raw_labels)
@@ -266,7 +279,7 @@ def standardizer_from_fields(fields: dict[str, str]) -> Standardizer | None:
         return None
     return Standardizer(np.array(fields["means"].split(), dtype=np.float64),
                         np.array(fields["sds"].split(), dtype=np.float64),
-                        float(fields.get("sd-floor", "1e-8")))
+                        float(fields.get("sd-floor", SD_FLOOR)))
 
 
 def fit_standardizer(train: Dataset, sd_floor: float = SD_FLOOR) -> Standardizer:

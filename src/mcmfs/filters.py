@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset
+from .data import DataError, Dataset, require_two_classes
 
 _TABLE_CELLS = 1 << 20  # caps one SU block's joint counts at 8 MB
 
@@ -75,9 +75,8 @@ def relieff_rank(d: Dataset, k_neighbors: int = 10, seed: int = 42) -> FeatureRa
     X = d.samples
     y = d.labels
     M, n = X.shape
+    require_two_classes(d)
     for value, count in d.class_counts().items():
-        if count == 0:
-            raise DataError("single-class dataset")
         if count <= k_neighbors:
             raise DataError(
                 f"class {value:+d} has {count} samples; k_neighbors={k_neighbors} needs more")

@@ -18,19 +18,20 @@ from . import filters, mcm, svm
 from .data import Dataset, FoldPlan, apply_standardizer, fit_standardizer, stratified_kfold
 
 METHODS = ("mcm", "relieff", "fcbf")
+SELECTIONS = ("per_fold", "global")
+MCM_C_GRID = (1e-2, 1e-1, 1.0, 1e1, 1e2)  # scanned by mcm_tune_C
 _DISPLAY = {"mcm": "MCM", "relieff": "ReliefF", "fcbf": "FCBF"}
 
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Defaults for the whole pipeline; every knob is also a CLI flag."""
+    """Defaults for the whole pipeline; every field is also a `benchmark` flag."""
 
     selection: str = "per_fold"  # or "global": select once on the full dataset
     seed: int = 42
     mcm_C: float = 1.0
     mcm_variant: str = mcm.VARIANT_PAPER
     mcm_tune_C: bool = False
-    mcm_C_grid: tuple[float, ...] = (1e-2, 1e-1, 1.0, 1e1, 1e2)
     mcm_rel_tol: float = mcm.REL_TOL
     relieff_k: int = 10
     fraction: float = 0.4
@@ -39,11 +40,9 @@ class HarnessConfig:
     svm_C_grid: tuple[float, ...] = svm.DEFAULT_C_GRID
     svm_gamma_grid: tuple[float, ...] = svm.DEFAULT_GAMMA_GRID
     inner_folds: int = 5
-    svm_kkt_tol: float = 1e-3
-    svm_max_passes: int = 200
 
     def __post_init__(self):
-        if self.selection not in ("per_fold", "global"):
+        if self.selection not in SELECTIONS:
             raise ValueError(f"unknown selection mode {self.selection!r}")
 
 
@@ -82,7 +81,7 @@ def _tune_mcm_C(train: Dataset, cfg: HarnessConfig) -> float:
         return cfg.mcm_C
     plan = stratified_kfold(train, k, cfg.seed)
     best = None
-    for C in sorted(cfg.mcm_C_grid):
+    for C in MCM_C_GRID:
         total = 0.0
         for f in range(k):
             tr = train.take(plan.train_indices(f))
@@ -123,8 +122,7 @@ def _pick_grid_point(train: Dataset, subset, cfg: HarnessConfig):
         gammas = sorted(cfg.svm_gamma_grid)
         return Cs[len(Cs) // 2], gammas[len(gammas) // 2]
     C, gamma, _ = svm.grid_search(
-        train, subset, cfg.svm_C_grid, cfg.svm_gamma_grid, folds=k, seed=cfg.seed,
-        kkt_tol=cfg.svm_kkt_tol, max_passes=cfg.svm_max_passes)
+        train, subset, cfg.svm_C_grid, cfg.svm_gamma_grid, folds=k, seed=cfg.seed)
     return C, gamma
 
 
@@ -161,8 +159,7 @@ def run_method_cv(d: Dataset, method: str, plan: FoldPlan, cfg: HarnessConfig) -
             empty_folds.append(f)
             selected = tuple(range(d.n_features))
         C, gamma = _pick_grid_point(train_s, selected, cfg)
-        model = svm.train_svm(train_s, selected, C, gamma,
-                              kkt_tol=cfg.svm_kkt_tol, max_passes=cfg.svm_max_passes)
+        model = svm.train_svm(train_s, selected, C, gamma)
         pred = svm.svm_predict_batch(model, test_s.samples)
         accuracies.append(float((pred == test_s.labels).mean()))
         per_fold_selected.append(tuple(selected))

@@ -9,13 +9,12 @@ trained weight magnitude clears a relative threshold form the selected set.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (DataError, Dataset, Standardizer, standardizer_from_fields,
-                   standardizer_lines)
+from .data import (DataError, Dataset, Standardizer, require_two_classes,
+                   standardizer_from_fields, standardizer_lines)
 from .linprog import GE, LE, LinearProgram, LpStatus, solve_lp
 
 VARIANT_PAPER = "paper"      # slack enters both the capacity and the margin rows
@@ -38,17 +37,14 @@ class NotSeparatingError(ValueError):
     """A hyperplane misclassifies at least one sample, so its margin ratio is undefined."""
 
 
-class EmptySelectionWarning(UserWarning):
-    """No weight magnitude cleared the selection threshold."""
-
-
 @dataclass(frozen=True)
 class McmModel:
     """Trained hyperplane with its capacity value and per-sample slacks.
 
     `selected` holds the 0-based indices of features whose weight magnitude
     exceeded `threshold_used` at training time.  `C` is +inf for hard-margin
-    models (no slack term in the objective).
+    models (no slack term in the objective).  The weights, bias, capacity and
+    threshold must be finite.
     """
 
     weights: np.ndarray
@@ -70,6 +66,9 @@ class McmModel:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "slacks", slacks)
         object.__setattr__(self, "selected", tuple(int(j) for j in self.selected))
+        scalars = (self.bias, self.capacity, self.threshold_used)
+        if not (np.isfinite(weights).all() and np.isfinite(scalars).all()):
+            raise ValueError("weights, bias, capacity and threshold must be finite")
 
     @property
     def n_features(self) -> int:
@@ -87,9 +86,7 @@ def build_mcm_lp(d: Dataset, C: float = 1.0, hard_margin: bool = False,
     Hard margin drops q entirely and minimizes h alone.  All variables are
     nonnegative; w and b are free through their split parts.
     """
-    counts = d.class_counts()
-    if counts[-1] == 0 or counts[1] == 0:
-        raise DataError("single-class dataset")
+    require_two_classes(d)
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if not hard_margin and C <= 0:
@@ -171,19 +168,6 @@ def train_mcm(d: Dataset, C: float = 1.0, variant: str = VARIANT_PAPER,
         objective_value=float(sol.objective_value),
         lp_iterations=sol.iterations,
     )
-
-
-def select_features(model: McmModel, rel_tol: float = REL_TOL) -> tuple[int, ...]:
-    """Indices of features whose |weight| clears max(rel_tol*max|w|, absolute floor).
-
-    An empty result is reported through EmptySelectionWarning rather than an
-    error: a zero weight vector is a legitimate LP outcome.
-    """
-    selected, _ = _threshold_select(model.weights, rel_tol)
-    if not selected:
-        warnings.warn("no feature weight cleared the selection threshold",
-                      EmptySelectionWarning, stacklevel=2)
-    return selected
 
 
 def reselect(model: McmModel, rel_tol: float) -> McmModel:
@@ -293,13 +277,3 @@ def mcm_model_from_text(text: str) -> tuple[McmModel, Standardizer | None]:
     if model.n_features != n:
         raise DataError("weight count does not match the declared dimension")
     return model, standardizer
-
-
-def save_mcm_model(model: McmModel, path, standardizer: Standardizer | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(mcm_model_to_text(model, standardizer))
-
-
-def load_mcm_model(path) -> tuple[McmModel, Standardizer | None]:
-    with open(path, encoding="utf-8") as fh:
-        return mcm_model_from_text(fh.read())

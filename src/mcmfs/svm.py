@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset, Standardizer, stratified_kfold
+from .data import Dataset, require_two_classes, stratified_kfold
 
 DEFAULT_C_GRID = tuple(2.0 ** p for p in range(-5, 17, 2))
 DEFAULT_GAMMA_GRID = tuple(2.0 ** p for p in range(-15, 5, 2))
+KKT_TOL = 1e-3
+MAX_PASSES = 200
 
 
 class SvmTrainingError(RuntimeError):
@@ -21,7 +24,8 @@ class SvmModel:
     """Support vectors with coefficients alpha_i*y_i and the decision bias.
 
     `support_samples` is already restricted to `feature_subset`; prediction
-    applies the same restriction to incoming full-width samples.
+    applies the same restriction to incoming full-width samples.  Every value
+    must be finite and `kernel_gamma` positive.
     """
 
     support_samples: np.ndarray
@@ -41,18 +45,11 @@ class SvmModel:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "feature_subset",
                            _validate_subset(self.feature_subset, self.n_features_in))
-
-
-def rbf_kernel(x, z, kernel_gamma: float) -> float:
-    """exp(-gamma * ||x - z||^2) for two equal-length vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if x.ndim != 1 or x.shape != z.shape:
-        raise ValueError("x and z must be 1-D vectors of equal length")
-    if kernel_gamma <= 0:
-        raise ValueError("kernel_gamma must be positive")
-    diff = x - z
-    return float(np.exp(-kernel_gamma * (diff @ diff)))
+        if not (np.isfinite(support).all() and np.isfinite(coeffs).all()
+                and math.isfinite(self.bias)):
+            raise ValueError("support vectors, coefficients and bias must be finite")
+        if not 0.0 < self.kernel_gamma < math.inf:
+            raise ValueError("kernel_gamma must be positive and finite")
 
 
 def _kernel_matrix(X: np.ndarray, Z: np.ndarray, gamma: float) -> np.ndarray:
@@ -74,7 +71,7 @@ def _validate_subset(subset, n_features: int) -> tuple[int, ...]:
 
 
 def train_svm(d: Dataset, feature_subset, C: float, kernel_gamma: float,
-              kkt_tol: float = 1e-3, max_passes: int = 200) -> SvmModel:
+              kkt_tol: float = KKT_TOL, max_passes: int = MAX_PASSES) -> SvmModel:
     """SMO on the dual problem; converges when a full sweep finds no KKT violator.
 
     Pair selection: a violating sample is matched with the non-bound sample of
@@ -86,9 +83,7 @@ def train_svm(d: Dataset, feature_subset, C: float, kernel_gamma: float,
         raise ValueError("C and kernel_gamma must be positive")
     if kkt_tol <= 0:
         raise ValueError("kkt_tol must be positive")
-    counts = d.class_counts()
-    if counts[-1] == 0 or counts[1] == 0:
-        raise DataError("single-class dataset")
+    require_two_classes(d)
     subset = _validate_subset(feature_subset, d.n_features)
 
     X = d.samples[:, list(subset)]
@@ -214,40 +209,27 @@ def train_svm(d: Dataset, feature_subset, C: float, kernel_gamma: float,
     )
 
 
-def svm_decision(model: SvmModel, x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features_in,):
-        raise ValueError(f"expected a length-{model.n_features_in} sample")
-    restricted = x[list(model.feature_subset)]
-    if model.coeffs.size == 0:
-        return float(model.bias)
-    k = _kernel_matrix(model.support_samples, restricted[None, :], model.kernel_gamma)[:, 0]
-    return float(model.coeffs @ k + model.bias)
-
-
-def svm_predict(model: SvmModel, x) -> int:
-    """Predicted label; a decision value of 0 maps to +1."""
-    return 1 if svm_decision(model, x) >= 0.0 else -1
-
-
-def svm_predict_batch(model: SvmModel, X) -> np.ndarray:
+def svm_decision_values(model: SvmModel, X) -> np.ndarray:
+    """sum_i coeffs_i * K(support_i, x) + bias for each row x of X."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
     if X.shape[1] != model.n_features_in:
         raise ValueError(f"expected samples with {model.n_features_in} features")
-    restricted = X[:, list(model.feature_subset)]
     if model.coeffs.size == 0:
-        vals = np.full(X.shape[0], model.bias)
-    else:
-        k = _kernel_matrix(restricted, model.support_samples, model.kernel_gamma)
-        vals = k @ model.coeffs + model.bias
-    return np.where(vals >= 0.0, 1, -1).astype(np.int64)
+        return np.full(X.shape[0], model.bias)
+    restricted = X[:, list(model.feature_subset)]
+    k = _kernel_matrix(restricted, model.support_samples, model.kernel_gamma)
+    return k @ model.coeffs + model.bias
+
+
+def svm_predict_batch(model: SvmModel, X) -> np.ndarray:
+    """Predicted labels for a sample matrix; a decision value of 0 maps to +1."""
+    return np.where(svm_decision_values(model, X) >= 0.0, 1, -1).astype(np.int64)
 
 
 def grid_search(d: Dataset, feature_subset, C_grid=DEFAULT_C_GRID,
-                gamma_grid=DEFAULT_GAMMA_GRID, folds: int = 5, seed: int = 42,
-                kkt_tol: float = 1e-3, max_passes: int = 200):
+                gamma_grid=DEFAULT_GAMMA_GRID, folds: int = 5, seed: int = 42):
     """Pick (C, gamma) by stratified k-fold accuracy on `d`.
 
     Grids are scanned in ascending order with strictly-better updates, so ties
@@ -269,8 +251,7 @@ def grid_search(d: Dataset, feature_subset, C_grid=DEFAULT_C_GRID,
             failed = False
             for train, test in splits:
                 try:
-                    model = train_svm(train, subset, C, gamma,
-                                      kkt_tol=kkt_tol, max_passes=max_passes)
+                    model = train_svm(train, subset, C, gamma)
                 except SvmTrainingError:
                     failed = True
                     break

@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from mcmfs.cli import main
+import mcmfs.mcm
+from mcmfs.cli import _config, build_parser, main
+from mcmfs.harness import HarnessConfig
 from support import make_dataset, write_csv
 
 
@@ -78,6 +80,31 @@ class TestSelect:
                      "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_long_csv_field_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text('f1,label\n1.0,a\n"' + "1" * 200_000 + '",b\n')
+        code = main(["select", "--input", str(path), "--out", str(tmp_path / "o.txt")])
+        assert code == 2
+        assert "input error: line 3: field larger than field limit" in capsys.readouterr().err
+
+    def test_non_utf8_dataset_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"f1,label\n1.0,a\n\xff\xfe,b\n")
+        code = main(["select", "--input", str(path), "--out", str(tmp_path / "o.txt")])
+        assert code == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_solver_fault_is_training_error(self, csv_path, tmp_path, capsys, monkeypatch):
+        def singular(*args, **kwargs):
+            raise ArithmeticError("singular basis matrix")
+
+        monkeypatch.setattr(mcmfs.mcm, "solve_lp", singular)
+        out = tmp_path / "feats.txt"
+        code = main(["select", "--input", csv_path, "--out", str(out)])
+        assert code == 3
+        assert "training error: singular basis matrix" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_label_column_flag(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("cls,f1\n+1,2.0\n-1,-2.0\n+1,2.1\n-1,-2.1\n")
@@ -146,8 +173,13 @@ class TestTrainPredict:
         ("svm", lambda lines: ["subset 1 1 3" if l.startswith("subset ") else l for l in lines]),
         ("svm", lambda lines: [l.replace("sv ", "sv x", 1) if l.startswith("sv ") else l
                                for l in lines]),
+        ("mcm", lambda lines: ["w nan nan nan" if l.startswith("w ") else l for l in lines]),
+        ("svm", lambda lines: ["bias nan" if l.startswith("bias ") else l for l in lines]),
+        ("svm", lambda lines: ["kernel-gamma 0" if l.startswith("kernel-gamma ") else l
+                               for l in lines]),
     ], ids=["mcm-without-sds", "svm-without-sds", "svm-subset-out-of-range",
-            "svm-subset-duplicated", "svm-non-numeric-sv"])
+            "svm-subset-duplicated", "svm-non-numeric-sv", "mcm-nan-weights",
+            "svm-nan-bias", "svm-zero-gamma"])
     def test_malformed_model_document_is_input_error(self, csv_path, tmp_path, capsys,
                                                      kind, edit):
         model = tmp_path / "m.txt"
@@ -160,6 +192,17 @@ class TestTrainPredict:
                      "--out", str(out)])
         assert code == 2
         assert "input error: malformed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_model_document_is_input_error(self, csv_path, tmp_path, capsys):
+        model = tmp_path / "m.txt"
+        assert main(["train", "--input", csv_path, "--out", str(model)]) == 0
+        model.write_bytes(model.read_bytes().replace(b"variant", b"vari\xe4nt"))
+        out = tmp_path / "o.txt"
+        code = main(["predict", "--input", csv_path, "--model", str(model),
+                     "--out", str(out)])
+        assert code == 2
+        assert "input error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dimension_mismatch(self, csv_path, tmp_path, capsys):
@@ -199,6 +242,20 @@ class TestBenchmark:
         assert main(args + ["--report", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_mcm_tune_C_reruns_identical(self, csv_path, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        args = ["benchmark", "--input", csv_path, "--methods", "mcm", "--mcm-tune-C"] + BENCH_ARGS
+        assert main(args + ["--report", str(a)]) == 0
+        assert main(args + ["--report", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("grid", ["1,x", ","])
+    def test_malformed_grid_is_option_error(self, csv_path, tmp_path, capsys, grid):
+        code = main(["benchmark", "--input", csv_path, "--svm-c-grid", grid,
+                     "--report", str(tmp_path / "r.txt")])
+        assert code == 2
+        assert "option error" in capsys.readouterr().err
+
     def test_unknown_method(self, csv_path, tmp_path, capsys):
         code = main(["benchmark", "--input", csv_path, "--methods", "mcm,anova",
                      "--report", str(tmp_path / "r.txt")])
@@ -219,6 +276,13 @@ class TestTopLevel:
         assert "mcmfs defaults" in out
         assert "fraction = 0.4" in out
         assert "1-based" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--input", "d.csv", "--out", "o.txt"],
+        ["benchmark", "--input", "d.csv", "--report", "r.txt"],
+    ], ids=["select", "benchmark"])
+    def test_flag_defaults_are_the_config_defaults(self, argv):
+        assert _config(build_parser().parse_args(argv)) == HarnessConfig()
 
     def test_missing_command(self, capsys):
         assert main([]) == 2

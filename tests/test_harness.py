@@ -3,14 +3,17 @@ import pytest
 
 from mcmfs.data import FoldPlan, stratified_kfold
 from mcmfs.harness import (
+    MCM_C_GRID,
     CvReport,
     HarnessConfig,
     MethodRecord,
+    _tune_mcm_C,
     compare_methods,
     format_table,
     report_to_text,
     run_method_cv,
 )
+from mcmfs.mcm import mcm_classify, train_mcm
 from support import make_dataset
 
 FAST = dict(svm_C_grid=(1.0,), svm_gamma_grid=(0.5,), relieff_k=2, inner_folds=3)
@@ -75,6 +78,27 @@ class TestAggregation:
         plan = stratified_kfold(d, 5, 3)
         with pytest.raises(ValueError, match="method"):
             run_method_cv(d, "anova", plan, HarnessConfig(**FAST))
+
+
+class TestMcmTuning:
+    def test_picks_best_inner_accuracy(self):
+        d = signal_dataset(m=12, seed=3)
+        labels = d.labels.copy()
+        labels[4] *= -1  # one flipped label, so that C changes the inner accuracy
+        d = make_dataset(d.samples, labels.tolist())
+        cfg = HarnessConfig()
+        plan = stratified_kfold(d, 3, cfg.seed)
+        accuracies = []
+        for C in MCM_C_GRID:
+            total = 0.0
+            for f in range(3):
+                model = train_mcm(d.take(plan.train_indices(f)), C=C)
+                test = d.take(plan.test_indices(f))
+                total += float((mcm_classify(model, test.samples) == test.labels).mean())
+            accuracies.append(total / 3)
+        best = MCM_C_GRID[int(np.argmax(accuracies))]  # first maximum: ties go to the smaller C
+        assert best != MCM_C_GRID[0]
+        assert _tune_mcm_C(d, cfg) == best
 
 
 class TestPairing:

@@ -10,7 +10,6 @@ from mcmfs.mcm import (
     REL_TOL,
     VARIANT_CLASSIC,
     VARIANT_PAPER,
-    EmptySelectionWarning,
     McmModel,
     McmTrainingError,
     build_mcm_lp,
@@ -20,7 +19,6 @@ from mcmfs.mcm import (
     mcm_model_from_text,
     mcm_model_to_text,
     reselect,
-    select_features,
     train_mcm,
     vc_bound_term,
 )
@@ -163,17 +161,17 @@ class TestTraining:
 
 class TestSelection:
     def test_single_nonzero(self):
-        got = select_features(dummy_model([0.0, 0.0, 3.0]))
-        assert got == (2,)
+        got = reselect(dummy_model([0.0, 0.0, 3.0]), REL_TOL)
+        assert got.selected == (2,)
 
     def test_tiny_residue_excluded(self):
-        got = select_features(dummy_model([1e-12, 0.5, -0.5]))
-        assert got == (1, 2)
+        got = reselect(dummy_model([1e-12, 0.5, -0.5]), REL_TOL)
+        assert got.selected == (1, 2)
 
-    def test_all_zero_warns(self):
-        with pytest.warns(EmptySelectionWarning):
-            got = select_features(dummy_model([0.0, 0.0, 0.0]))
-        assert got == ()
+    def test_all_zero_selects_nothing(self):
+        got = reselect(dummy_model([0.0, 0.0, 0.0]), REL_TOL)
+        assert got.selected == ()
+        assert got.threshold_used == ABS_FLOOR
 
     def test_threshold_recorded_on_trained_model(self):
         m = train_mcm(TINY_PAIR, C=100.0)

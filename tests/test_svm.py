@@ -5,10 +5,9 @@ from mcmfs.data import DataError
 from mcmfs.svm import (
     SvmModel,
     SvmTrainingError,
+    _kernel_matrix,
     grid_search,
-    rbf_kernel,
-    svm_decision,
-    svm_predict,
+    svm_decision_values,
     svm_predict_batch,
     train_svm,
 )
@@ -27,7 +26,7 @@ XOR = xor_dataset()
 
 def max_kkt_violation(model, d):
     y = d.labels.astype(np.float64)
-    f = np.array([svm_decision(model, x) for x in d.samples])
+    f = svm_decision_values(model, d.samples)
     yf = y * f
     alpha = alphas_for(model, d)
     edge = 1e-8 * max(model.C, 1.0)
@@ -43,25 +42,22 @@ def max_kkt_violation(model, d):
 
 
 class TestRbfKernel:
+    """The batch kernel exp(-gamma * ||x - z||^2) that training and prediction share."""
+
     def test_identity(self):
-        assert rbf_kernel([1.0, 2.0], [1.0, 2.0], 3.0) == 1.0
+        assert _kernel_matrix(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]), 3.0)[0, 0] == 1.0
 
     def test_unit_distance(self):
-        assert rbf_kernel([0.0, 0.0], [1.0, 1.0], 0.5) == pytest.approx(np.exp(-1.0))
+        k = _kernel_matrix(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), 0.5)
+        assert k[0, 0] == pytest.approx(np.exp(-1.0))
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            x, z = rng.normal(size=(2, 4))
-            a = rbf_kernel(x, z, 0.7)
-            assert a == pytest.approx(rbf_kernel(z, x, 0.7), abs=0.0)
-            assert 0.0 < a <= 1.0
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            rbf_kernel([1.0], [1.0, 2.0], 1.0)
-        with pytest.raises(ValueError):
-            rbf_kernel([1.0], [2.0], 0.0)
+        X, Z = rng.normal(size=(10, 4)), rng.normal(size=(7, 4))
+        k = _kernel_matrix(X, Z, 0.7)
+        assert k.shape == (10, 7)
+        np.testing.assert_array_equal(k, _kernel_matrix(Z, X, 0.7).T)
+        assert np.all((k > 0.0) & (k <= 1.0))
 
 
 class TestTrainSvm:
@@ -81,8 +77,7 @@ class TestTrainSvm:
     def test_one_dimensional_pair(self):
         d = make_dataset([[1.0], [-1.0]], [1, -1])
         m = train_svm(d, (0,), C=1000.0, kernel_gamma=1.0)
-        assert svm_predict(m, [1.0]) == 1
-        assert svm_predict(m, [-1.0]) == -1
+        assert svm_predict_batch(m, [[1.0], [-1.0]]).tolist() == [1, -1]
         assert max_kkt_violation(m, d) <= 1e-3
 
     def test_single_class_rejected(self):
@@ -134,13 +129,13 @@ class TestTrainSvm:
 class TestPrediction:
     def test_support_samples_keep_their_labels(self):
         m = train_svm(XOR, (0, 1), C=10.0, kernel_gamma=1.0)
-        for x, label in zip(XOR.samples, XOR.labels):
-            assert svm_predict(m, x) == label
+        f = svm_decision_values(m, XOR.samples)
+        assert np.sign(f).tolist() == XOR.labels.tolist()
 
     def test_zero_decision_maps_to_plus_one(self):
         empty = SvmModel(np.empty((0, 1)), np.empty(0), 0.0, 1.0, 1.0, (0,), 2)
-        assert svm_decision(empty, [3.0, 4.0]) == 0.0
-        assert svm_predict(empty, [3.0, 4.0]) == 1
+        assert svm_decision_values(empty, [3.0, 4.0]).tolist() == [0.0]
+        assert svm_predict_batch(empty, [3.0, 4.0]).tolist() == [1]
 
     def test_empty_support_predicts_bias_sign(self):
         negative = SvmModel(np.empty((0, 1)), np.empty(0), -0.5, 1.0, 1.0, (0,), 1)
@@ -149,7 +144,7 @@ class TestPrediction:
     def test_dimension_mismatch(self):
         m = train_svm(XOR, (0, 1), C=10.0, kernel_gamma=1.0)
         with pytest.raises(ValueError):
-            svm_decision(m, [1.0])
+            svm_decision_values(m, [1.0])
         with pytest.raises(ValueError):
             svm_predict_batch(m, np.ones((2, 3)))
 
