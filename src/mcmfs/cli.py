@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -53,6 +54,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise ValueError(f"cannot parse grid {text!r}") from None
     if not values:
         raise ValueError("grid must not be empty")
+    if not all(0.0 < v < math.inf for v in values):
+        raise ValueError(f"grid values must be positive and finite: {text!r}")
     return values
 
 
@@ -165,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Library constants that --show-config lists after the field they follow.
 _FIXED_AFTER = {
     "mcm_tune_C": (("mcm_C_grid", harness.MCM_C_GRID),),
-    "inner_folds": (("svm_kkt_tol", svm.KKT_TOL), ("svm_max_passes", svm.MAX_PASSES)),
+    "inner_folds": (("svm_kkt_tol", svm.KKT_TOL), ("svm_max_iter", svm.MAX_ITER)),
 }
 
 

@@ -44,6 +44,8 @@ class HarnessConfig:
     def __post_init__(self):
         if self.selection not in SELECTIONS:
             raise ValueError(f"unknown selection mode {self.selection!r}")
+        if self.inner_folds < 2:
+            raise ValueError("inner_folds must be at least 2")
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,17 @@ class TestTrainPredict:
         got = [int(line.split("\t")[1]) for line in labels.read_text().splitlines()]
         assert got == separable().labels.tolist()
 
+    @pytest.mark.parametrize("flag,value", [("--svm-C", "nan"), ("--svm-C", "inf"),
+                                            ("--svm-gamma", "nan")])
+    def test_bad_svm_hyperparameter_is_option_error(self, csv_path, tmp_path, capsys,
+                                                    flag, value):
+        out = tmp_path / "m.txt"
+        code = main(["train", "--input", csv_path, "--model-kind", "svm",
+                     flag, value, "--out", str(out)])
+        assert code == 2
+        assert "option error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_feature_index(self, csv_path, tmp_path, capsys):
         feats = tmp_path / "feats.txt"
         feats.write_text("9\n")
@@ -177,9 +188,10 @@ class TestTrainPredict:
         ("svm", lambda lines: ["bias nan" if l.startswith("bias ") else l for l in lines]),
         ("svm", lambda lines: ["kernel-gamma 0" if l.startswith("kernel-gamma ") else l
                                for l in lines]),
+        ("svm", lambda lines: ["C nan" if l.startswith("C ") else l for l in lines]),
     ], ids=["mcm-without-sds", "svm-without-sds", "svm-subset-out-of-range",
             "svm-subset-duplicated", "svm-non-numeric-sv", "mcm-nan-weights",
-            "svm-nan-bias", "svm-zero-gamma"])
+            "svm-nan-bias", "svm-zero-gamma", "svm-nan-C"])
     def test_malformed_model_document_is_input_error(self, csv_path, tmp_path, capsys,
                                                      kind, edit):
         model = tmp_path / "m.txt"
@@ -249,12 +261,21 @@ class TestBenchmark:
         assert main(args + ["--report", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("grid", ["1,x", ","])
+    @pytest.mark.parametrize("grid", ["1,x", ",", "nan", "1,inf", "0"])
     def test_malformed_grid_is_option_error(self, csv_path, tmp_path, capsys, grid):
         code = main(["benchmark", "--input", csv_path, "--svm-c-grid", grid,
                      "--report", str(tmp_path / "r.txt")])
         assert code == 2
         assert "option error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("folds", ["1", "0"])
+    def test_inner_folds_below_two_is_option_error(self, csv_path, tmp_path, capsys, folds):
+        report = tmp_path / "r.txt"
+        code = main(["benchmark", "--input", csv_path, "--report", str(report)]
+                    + BENCH_ARGS + ["--inner-folds", folds])
+        assert code == 2
+        assert "option error" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_unknown_method(self, csv_path, tmp_path, capsys):
         code = main(["benchmark", "--input", csv_path, "--methods", "mcm,anova",

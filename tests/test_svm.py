@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mcmfs import svm
 from mcmfs.data import DataError
 from mcmfs.svm import (
     SvmModel,
@@ -95,6 +96,11 @@ class TestTrainSvm:
             train_svm(XOR, (0, 1), C=0.0, kernel_gamma=1.0)
         with pytest.raises(ValueError):
             train_svm(XOR, (0, 1), C=1.0, kernel_gamma=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                train_svm(XOR, (0, 1), C=bad, kernel_gamma=1.0)
+            with pytest.raises(ValueError):
+                train_svm(XOR, (0, 1), C=1.0, kernel_gamma=bad)
 
     def test_kkt_postcondition_random(self):
         rng = np.random.default_rng(21)
@@ -118,12 +124,25 @@ class TestTrainSvm:
             best = kernel_dual_optimum(K, d.labels.astype(np.float64), C)
             assert dual_objective(model, d) == pytest.approx(best, abs=1e-3)
 
-    def test_non_convergence_reported(self):
+    def test_bias_is_kkt_consistent_when_every_alpha_is_at_a_bound(self):
+        # Small C and a narrow kernel leave every alpha at 0 or C on many of
+        # these sets, so no free alpha pins the bias; it must still satisfy KKT.
+        rng = np.random.default_rng(1)
+        at_bounds = 0
+        for _ in range(200):
+            d = random_two_class(rng, m=int(rng.integers(4, 12)), n=int(rng.integers(1, 4)))
+            m = train_svm(d, tuple(range(d.n_features)), C=2.0 ** -5, kernel_gamma=2.0)
+            alpha = alphas_for(m, d)
+            at_bounds += bool(np.all((alpha == 0.0) | (alpha == m.C)))
+            assert max_kkt_violation(m, d) <= 1e-3
+        assert at_bounds >= 40
+
+    def test_non_convergence_reported(self, monkeypatch):
+        monkeypatch.setattr(svm, "MAX_ITER", 3)
         rng = np.random.default_rng(2)
         d = random_two_class(rng, m=30, n=2)
-        with pytest.raises(SvmTrainingError, match="sweeps"):
-            train_svm(d, (0, 1), C=1.0, kernel_gamma=1.0, kkt_tol=1e-12,
-                      max_passes=1)
+        with pytest.raises(SvmTrainingError, match="after 3 iterations"):
+            train_svm(d, (0, 1), C=1.0, kernel_gamma=1.0, kkt_tol=1e-12)
 
 
 class TestPrediction:
