@@ -112,7 +112,7 @@ def train_svm(d: Dataset, feature_subset, C: float, kernel_gamma: float,
         i = int(F_up.argmax())
         F_max = float(F_up[i])
         F_low = F + low_pen
-        F_min = float(F_low.min())
+        F_min = float(F_low[F_low.argmin()])  # ndarray.min is slower on short rows
         if F_max - F_min < kkt_tol:
             break
         if steps == MAX_ITER:
