@@ -10,7 +10,7 @@ first (the parent on even pairs, the change on odd ones), and writes
 quartiles of every end-to-end metric in the parent's BENCHMARK.json, the
 number of pairs the change won, and the machine facts (nproc, numpy and
 Python versions) with both checkouts' git SHAs.  The file is rewritten after
-each pair, so an interrupted session keeps the pairs it finished.
+each pair, so an interrupted run keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'301-310' or '3,5,8'."""
-    if "-" in text:
-        lo, hi = (int(v) for v in text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(v) for v in text.split(",")]
+    """'301-310' -> [301, ..., 310]."""
+    lo, hi = (int(v) for v in text.split("-"))
+    return list(range(lo, hi + 1))
 
 
 def git_sha(checkout: str) -> str | None:
@@ -81,7 +79,7 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="checkout of the parent commit")
     p.add_argument("--change", required=True, help="checkout of the change")
     p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", required=True, help="'301-310' or '3,5,8'")
+    p.add_argument("--seeds", required=True, help="first-last, e.g. 301-310")
     p.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--out-dir", default=".")
