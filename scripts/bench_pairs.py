@@ -8,9 +8,12 @@ For each seed, runs `python3 pipebench/run.py --workload W --seed S
 first (the parent on even pairs, the change on odd ones), and writes
 `BENCH_<label>.json`: every run's JSON line, each side's median and
 quartiles of every end-to-end metric in the parent's BENCHMARK.json, the
-number of pairs the change won, and the machine facts (nproc, numpy and
-Python versions) with both checkouts' git SHAs.  The file is rewritten after
-each pair, so an interrupted run keeps the pairs it finished.
+number of pairs the change won, each side's summed attempted and failed
+operations, and the machine facts (nproc, numpy and Python versions) with
+both checkouts' git SHAs.  The file is rewritten after each pair, so an
+interrupted run keeps the pairs it finished.  A run that exits non-zero or
+reports `"correct": false` stops the script with exit status 1, naming the
+run; its pair is not summarized.
 """
 
 from __future__ import annotations
@@ -40,7 +43,10 @@ def git_sha(checkout: str) -> str | None:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; its last line of standard output is the JSON result."""
+    """One benchmark run; its last line of standard output is the JSON result.
+
+    Raises RuntimeError, naming the run, if it exits non-zero or its checks fail.
+    """
     argv = [sys.executable, "pipebench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -48,7 +54,11 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {done.returncode}:\n"
                            f"{done.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise RuntimeError(f"{' '.join(argv)} in {checkout} reported correct false:\n"
+                           f"{done.stderr[-2000:]}")
+    return result
 
 
 def quartiles(values) -> dict:
@@ -57,13 +67,20 @@ def quartiles(values) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's quartiles and how many pairs the change won."""
+    """Per metric: each side's quartiles and how many pairs the change won.
+
+    Under "operations": each side's attempted and failed operations, summed
+    over the complete pairs, so that a gain bought with failures shows.
+    """
     by_pair = {}
     for r in runs:
         by_pair.setdefault(r["pair"], {})[r["side"]] = {
             name: m["value"] for name, m in r["result"]["metrics"].items()}
-    pairs = [p for p in by_pair.values() if len(p) == 2]
-    out = {}
+    complete = {k for k, p in by_pair.items() if len(p) == 2}
+    pairs = [by_pair[k] for k in sorted(complete)]
+    done = [r for r in runs if r["pair"] in complete]
+    out = {"operations": {s: {k: sum(r["result"][k] for r in done if r["side"] == s)
+                              for k in ("attempted", "failed")} for s in SIDES}}
     for m in metrics:
         name, sign = m["name"], (1.0 if m["better"] == "lower" else -1.0)
         values = {s: [p[s][name] for p in pairs] for s in SIDES}
@@ -101,19 +118,26 @@ def main(argv=None) -> int:
     for pair, seed in enumerate(doc["seeds"]):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
-            result = run_once(checkouts[side], args.workload, seed, args.seconds)
+            try:
+                result = run_once(checkouts[side], args.workload, seed, args.seconds)
+            except RuntimeError as exc:
+                print(f"pair {pair} seed {seed} {side}: {exc}", file=sys.stderr)
+                return 1
             doc["runs"].append({"pair": pair, "seed": seed, "side": side,
                                 "position": position, "result": result})
-            print(f"pair {pair} seed {seed} {side}: correct {result['correct']} "
+            print(f"pair {pair} seed {seed} {side}: attempted {result['attempted']} "
                   f"failed {result['failed']}", flush=True)
         doc["summary"] = summarize(doc["runs"], metrics)
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
-    for name, s in doc["summary"].items():
-        print(f"{name}: parent {s['parent']['median']:.4g} "
+    for m in metrics:
+        s = doc["summary"][m["name"]]
+        print(f"{m['name']}: parent {s['parent']['median']:.4g} "
               f"(IQR {s['parent']['q3'] - s['parent']['q1']:.3g}) -> change "
               f"{s['change']['median']:.4g}, change won {s['change_wins']}/{s['pairs']}")
+    print("operations (attempted, failed): " + ", ".join(
+        f"{s} {o['attempted']}, {o['failed']}" for s, o in doc["summary"]["operations"].items()))
     return 0
 
 

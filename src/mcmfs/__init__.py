@@ -14,11 +14,9 @@ from .filters import (DiscreteDataset, FeatureRanking,
                       fcbf_select, relieff_rank, symmetrical_uncertainty)
 from .harness import (CvReport, HarnessConfig, MethodRecord, compare_methods,
                       format_table, report_to_text, run_method_cv)
-from .linprog import (EQ, GE, LE, LinearProgram, LpSolution, LpStatus,
-                      dump_lp, solve_lp)
-from .mcm import (McmModel, McmTrainingError, NotSeparatingError, build_mcm_lp,
-                  margin_ratio, mcm_classify, mcm_decision, reselect, train_mcm,
-                  vc_bound_term)
+from .linprog import EQ, GE, LE, LinearProgram, LpSolution, LpStatus, solve_lp
+from .mcm import (McmModel, McmTrainingError, build_mcm_lp, mcm_classify,
+                  reselect, train_mcm, vc_bound_term)
 from .svm import (SvmModel, SvmTrainingError, grid_search, svm_decision_values,
                   svm_predict_batch, train_svm)
 
@@ -32,11 +30,9 @@ __all__ = [
     "symmetrical_uncertainty",
     "CvReport", "HarnessConfig", "MethodRecord", "compare_methods",
     "format_table", "report_to_text", "run_method_cv",
-    "EQ", "GE", "LE", "LinearProgram", "LpSolution", "LpStatus",
-    "dump_lp", "solve_lp",
-    "McmModel", "McmTrainingError", "NotSeparatingError", "build_mcm_lp",
-    "margin_ratio", "mcm_classify", "mcm_decision", "reselect", "train_mcm",
-    "vc_bound_term",
+    "EQ", "GE", "LE", "LinearProgram", "LpSolution", "LpStatus", "solve_lp",
+    "McmModel", "McmTrainingError", "build_mcm_lp", "mcm_classify", "reselect",
+    "train_mcm", "vc_bound_term",
     "SvmModel", "SvmTrainingError", "grid_search", "svm_decision_values",
     "svm_predict_batch", "train_svm",
     "__version__",

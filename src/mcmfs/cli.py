@@ -13,8 +13,9 @@ import numpy as np
 
 from . import harness, mcm, svm
 from .data import (SD_FLOOR, DataError, Dataset, Standardizer, apply_standardizer,
-                   fit_standardizer, load_dataset, require_two_classes,
-                   standardizer_from_fields, standardizer_lines, stratified_kfold)
+                   document_fields, fit_standardizer, fmt17, load_dataset,
+                   require_two_classes, standardizer_from_fields, standardizer_lines,
+                   stratified_kfold)
 
 _EXIT_INPUT = 2
 _EXIT_TRAINING = 3
@@ -257,18 +258,17 @@ def _cmd_train(args) -> int:
 
 
 def svm_model_to_text(model: svm.SvmModel, standardizer: Standardizer | None = None) -> str:
-    fmt = lambda v: format(float(v), ".17g")
     lines = [
         "svm-model v1",
         f"n {model.n_features_in}",
-        f"C {fmt(model.C)}",
-        f"kernel-gamma {fmt(model.kernel_gamma)}",
-        f"bias {fmt(model.bias)}",
+        f"C {fmt17(model.C)}",
+        f"kernel-gamma {fmt17(model.kernel_gamma)}",
+        f"bias {fmt17(model.bias)}",
         "subset " + " ".join(str(j + 1) for j in model.feature_subset),
         f"support {model.coeffs.size}",
     ]
     for coef, row in zip(model.coeffs, model.support_samples):
-        lines.append("sv " + fmt(coef) + " " + " ".join(fmt(v) for v in row))
+        lines.append("sv " + fmt17(coef) + " " + " ".join(fmt17(v) for v in row))
     if standardizer is not None:
         lines += standardizer_lines(standardizer)
     lines.append("end")
@@ -276,17 +276,7 @@ def svm_model_to_text(model: svm.SvmModel, standardizer: Standardizer | None = N
 
 
 def svm_model_from_text(text: str) -> tuple[svm.SvmModel, Standardizer | None]:
-    fields_ = {}
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line == "end":
-            continue
-        key, _, rest = line.partition(" ")
-        if key == "sv":
-            rows.append(rest)
-        else:
-            fields_[key] = rest
+    fields_, rows = document_fields(text)
     if fields_.get("svm-model") != "v1":
         raise DataError("not an svm-model v1 document")
     try:
@@ -317,20 +307,17 @@ def _cmd_predict(args) -> int:
     first = text.splitlines()[0].strip() if text.strip() else ""
     if first.startswith("mcm-model"):
         model, std = mcm.mcm_model_from_text(text)
-        n = model.n_features
+        n, classify = model.n_features, mcm.mcm_classify
     elif first.startswith("svm-model"):
         model, std = svm_model_from_text(text)
-        n = model.n_features_in
+        n, classify = model.n_features_in, svm.svm_predict_batch
     else:
         raise DataError(f"unrecognized model document {args.model}")
     if d.n_features != n:
         raise DataError(f"dimension mismatch: model expects {n} features, "
                         f"dataset has {d.n_features}")
     ds = apply_standardizer(std, d) if std is not None else d
-    if first.startswith("mcm-model"):
-        labels = mcm.mcm_classify(model, ds.samples)
-    else:
-        labels = svm.svm_predict_batch(model, ds.samples)
+    labels = classify(model, ds.samples)
     lines = [f"{sid}\t{int(v):+d}" for sid, v in zip(d.sample_ids, labels)]
     _write_atomic(args.out, "\n".join(lines) + "\n")
     return 0

@@ -156,15 +156,71 @@ def _parse_row(cells: list[str], where: str) -> np.ndarray:
 
 
 def _load_csv(path, label_column: str) -> Dataset:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            return _read_csv(reader, label_column)
-        except csv.Error as exc:
-            raise DataError(f"line {reader.line_num}: {exc}") from None
+    with open(path, newline="\n", encoding="utf-8-sig") as fh:
+        parsed = _read_plain_csv(fh, label_column)
+    if parsed is None:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                parsed = _read_csv(reader, label_column)
+            except csv.Error as exc:
+                raise DataError(f"line {reader.line_num}: {exc}") from None
+    return _labeled(*parsed)
 
 
-def _read_csv(reader, label_column: str) -> Dataset:
+# Not plain: a quote, stray carriage return or NUL, which the csv module treats
+# specially, and U+001C..U+001F, which numpy strips around a number but `float` rejects.
+_NOT_PLAIN = ('"', "\r", "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _plain_lines(fh):
+    """The non-empty lines of `fh` without their endings; ValueError at one that is not plain."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        line = line.removesuffix("\n").removesuffix("\r")
+        if any(c in line for c in _NOT_PLAIN) or (
+                len(line) > limit and max(map(len, line.split(","))) > limit):
+            raise ValueError("not a plain line")
+        if line:
+            yield line
+
+
+def _read_plain_csv(fh, label_column: str):
+    """`_read_csv`'s result for a plain file, streamed through numpy's C parser.
+
+    Any doubt (a line that is not plain, a cell numpy rejects, anything
+    `_read_csv` rejects) gives None instead, for `_read_csv` to name the line.
+    numpy accepts no cell `float` rejects and reads the others to the same double.
+    """
+    raw_labels = []
+    try:
+        lines = _plain_lines(fh)
+        header = [h.strip() for h in next(lines, "").split(",")]
+        k, width = header.index(label_column), len(header)
+        # Split the line only up to the label field, from the nearer end.
+        if 2 * k < width:
+            cut, at, pieces = (lambda line: line.split(",", k + 1)), k, k + 2
+        else:
+            cut, at, pieces = (lambda line: line.rsplit(",", width - k)), 1, width - k + 1
+
+        def rows():
+            for parts in map(cut, lines):
+                if len(parts) != pieces:
+                    raise ValueError("ragged row")
+                raw_labels.append(parts.pop(at).strip())
+                yield ",".join(parts)
+            if not raw_labels:   # before np.loadtxt warns of an empty body
+                raise ValueError("no data rows")
+
+        samples = np.loadtxt(rows(), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if samples.shape != (len(raw_labels), width - 1) or not np.isfinite(samples).all():
+        return None
+    return samples, raw_labels, tuple(header[:k] + header[k + 1:])
+
+
+def _read_csv(reader, label_column: str):
     header = next((r for r in reader if r), None)
     if header is None:
         raise DataError("empty file")
@@ -186,17 +242,20 @@ def _read_csv(reader, label_column: str) -> Dataset:
         rows.append(_parse_row(row, where))
     if not rows:
         raise DataError("empty file: header without data rows")
+    return np.vstack(rows), raw_labels, names
+
+
+def _labeled(samples, raw_labels, names) -> Dataset:
     mapping = _canonical_label_map(raw_labels)
-    labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
     ids = tuple(f"s{i}" for i in range(1, len(raw_labels) + 1))
-    return Dataset(np.vstack(rows), labels, names, ids)
+    return Dataset(samples, [mapping[v] for v in raw_labels], names, ids)
 
 
 def _load_sparse(path) -> Dataset:
     raw_labels = []
     row_entries: list[dict[int, float]] = []
     n = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lnum, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -227,11 +286,7 @@ def _load_sparse(path) -> Dataset:
     for i, entries in enumerate(row_entries):
         for j, v in entries.items():
             data[i, j - 1] = v
-    mapping = _canonical_label_map(raw_labels)
-    labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
-    names = tuple(f"f{j}" for j in range(1, n + 1))
-    ids = tuple(f"s{i}" for i in range(1, len(row_entries) + 1))
-    return Dataset(data, labels, names, ids)
+    return _labeled(data, raw_labels, tuple(f"f{j}" for j in range(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -261,12 +316,30 @@ class Standardizer:
         return self.means.shape[0]
 
 
+def fmt17(v) -> str:
+    """A float in a model document; 17 significant digits read back bit-exact."""
+    return format(float(v), ".17g")
+
+
+def document_fields(text: str) -> tuple[dict[str, str], list[str]]:
+    """A model document's `key rest` lines as a key -> rest map, and the rests of its `sv` lines."""
+    fields, sv = {}, []
+    for line in text.splitlines():
+        line = line.strip()
+        if line and line != "end":
+            key, _, rest = line.partition(" ")
+            if key == "sv":
+                sv.append(rest)
+            else:
+                fields[key] = rest
+    return fields, sv
+
+
 def standardizer_lines(s: Standardizer) -> list[str]:
-    """The standardizer block of a model document; 17 significant digits keep floats bit-exact."""
-    fmt = lambda v: format(float(v), ".17g")
-    return ["means " + " ".join(fmt(v) for v in s.means),
-            "sds " + " ".join(fmt(v) for v in s.sds),
-            f"sd-floor {fmt(s.sd_floor)}"]
+    """The standardizer block of a model document."""
+    return ["means " + " ".join(fmt17(v) for v in s.means),
+            "sds " + " ".join(fmt17(v) for v in s.sds),
+            f"sd-floor {fmt17(s.sd_floor)}"]
 
 
 def standardizer_from_fields(fields: dict[str, str]) -> Standardizer | None:

@@ -72,18 +72,6 @@ class LinearProgram:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lower_free", free)
 
-    @classmethod
-    def from_rows(cls, c, rows, free=()) -> "LinearProgram":
-        """Build from an iterable of (coeffs, relation, rhs) triples."""
-        c = np.asarray(c, dtype=np.float64)
-        rows = list(rows)
-        A = np.array([r[0] for r in rows], dtype=np.float64).reshape(len(rows), c.shape[0])
-        rel = tuple(r[1] for r in rows)
-        b = np.array([r[2] for r in rows], dtype=np.float64)
-        lower_free = np.zeros(c.shape[0], dtype=bool)
-        lower_free[list(free)] = True
-        return cls(c, A, rel, b, lower_free)
-
     @property
     def n_vars(self) -> int:
         return self.c.shape[0]
@@ -102,16 +90,6 @@ class LpSolution:
     objective_value: float
     iterations: int
     duals: np.ndarray | None = None
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Fixed-layout plain-text dump, one constraint row per line."""
-    lines = ["minimize " + " ".join(f"{v:.17g}" for v in lp.c)]
-    for coeffs, rel, rhs in zip(lp.A, lp.rel, lp.b):
-        lines.append(" ".join(f"{v:.17g}" for v in coeffs) + f" {rel} {rhs:.17g}")
-    frees = np.flatnonzero(lp.lower_free)
-    lines.append("free " + (" ".join(str(int(j)) for j in frees) if frees.size else "-"))
-    return "\n".join(lines) + "\n"
 
 
 class _SimplexState:

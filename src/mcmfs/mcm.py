@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (DataError, Dataset, Standardizer, require_two_classes,
-                   standardizer_from_fields, standardizer_lines)
+from .data import (DataError, Dataset, Standardizer, document_fields, fmt17,
+                   require_two_classes, standardizer_from_fields, standardizer_lines)
 from .linprog import GE, LE, LinearProgram, LpStatus, solve_lp
 
 VARIANT_PAPER = "paper"      # slack enters both the capacity and the margin rows
@@ -31,10 +31,6 @@ class McmTrainingError(RuntimeError):
     def __init__(self, message, status=None):
         super().__init__(message)
         self.status = status
-
-
-class NotSeparatingError(ValueError):
-    """A hyperplane misclassifies at least one sample, so its margin ratio is undefined."""
 
 
 @dataclass(frozen=True)
@@ -176,13 +172,6 @@ def reselect(model: McmModel, rel_tol: float) -> McmModel:
     return replace(model, selected=selected, threshold_used=threshold)
 
 
-def mcm_decision(model: McmModel, x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise ValueError(f"expected a length-{model.n_features} sample")
-    return float(model.weights @ x + model.bias)
-
-
 def mcm_classify(model: McmModel, X) -> np.ndarray:
     """Predicted labels for a sample matrix; a decision value of 0 maps to +1."""
     X = np.asarray(X, dtype=np.float64)
@@ -192,16 +181,6 @@ def mcm_classify(model: McmModel, X) -> np.ndarray:
         raise ValueError(f"expected samples with {model.n_features} features")
     vals = X @ model.weights + model.bias
     return np.where(vals >= 0.0, 1, -1).astype(np.int64)
-
-
-def margin_ratio(weights, bias: float, d: Dataset) -> float:
-    """max/min of the signed margins y_i*(w.x_i + b); requires full separation."""
-    weights = np.asarray(weights, dtype=np.float64)
-    margins = d.labels * (d.samples @ weights + bias)
-    lowest = float(margins.min())
-    if lowest <= 0.0:
-        raise NotSeparatingError("not separating: minimum signed margin is <= 0")
-    return float(margins.max()) / lowest
 
 
 def vc_bound_term(gamma_proxy: float, m_samples: int, eta: float) -> float:
@@ -220,22 +199,18 @@ def vc_bound_term(gamma_proxy: float, m_samples: int, eta: float) -> float:
     return math.sqrt((g * (1.0 + math.log(2 * m_samples) / g) - math.log(eta / 4.0)) / m_samples)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def mcm_model_to_text(model: McmModel, standardizer: Standardizer | None = None) -> str:
-    """Plain-text model document; 17 significant digits keep floats bit-exact."""
+    """Plain-text model document."""
     lines = [
         "mcm-model v1",
         f"n {model.n_features}",
-        f"C {_fmt(model.C)}",
+        f"C {fmt17(model.C)}",
         f"variant {model.variant}",
-        f"b {_fmt(model.bias)}",
-        f"h {_fmt(model.capacity)}",
-        f"threshold {_fmt(model.threshold_used)}",
-        f"objective {_fmt(model.objective_value)}",
-        "w " + " ".join(_fmt(v) for v in model.weights),
+        f"b {fmt17(model.bias)}",
+        f"h {fmt17(model.capacity)}",
+        f"threshold {fmt17(model.threshold_used)}",
+        f"objective {fmt17(model.objective_value)}",
+        "w " + " ".join(fmt17(v) for v in model.weights),
         "selected " + (" ".join(str(j) for j in model.selected) if model.selected else "-"),
     ]
     if standardizer is not None:
@@ -245,13 +220,7 @@ def mcm_model_to_text(model: McmModel, standardizer: Standardizer | None = None)
 
 
 def mcm_model_from_text(text: str) -> tuple[McmModel, Standardizer | None]:
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line == "end":
-            continue
-        key, _, rest = line.partition(" ")
-        fields[key] = rest
+    fields, _ = document_fields(text)
     if fields.get("mcm-model") != "v1":
         raise DataError("not an mcm-model v1 document")
     try:

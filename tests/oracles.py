@@ -230,7 +230,7 @@ def load_csv_cellwise(path, label_column="label"):
     Raises ValueError with the loader's messages, except that its line
     numbers count non-blank rows rather than physical lines.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [r for r in csv.reader(fh) if r]
     if not rows:
         raise ValueError("empty file")

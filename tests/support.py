@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from mcmfs.data import Dataset
+from mcmfs.linprog import EQ, GE, LE, LinearProgram
 
 
 def make_dataset(X, y, prefix="f") -> Dataset:
@@ -66,10 +67,37 @@ def random_two_class(rng, m, n, scale=1.0) -> Dataset:
     return make_dataset(X, y)
 
 
+def lp_of(c, rows, free=()) -> LinearProgram:
+    """An LP from (coeffs, relation, rhs) triples; `free` lists the free variables."""
+    c = np.asarray(c, dtype=np.float64)
+    rows = list(rows)
+    A = np.array([r[0] for r in rows], dtype=np.float64).reshape(len(rows), c.shape[0])
+    lower_free = np.zeros(c.shape[0], dtype=bool)
+    lower_free[list(free)] = True
+    return LinearProgram(c, A, tuple(r[1] for r in rows), [r[2] for r in rows], lower_free)
+
+
+def dump_lp(lp: LinearProgram) -> str:
+    """Fixed-layout plain-text dump, one constraint row per line, for failure messages."""
+    lines = ["minimize " + " ".join(f"{v:.17g}" for v in lp.c)]
+    for coeffs, rel, rhs in zip(lp.A, lp.rel, lp.b):
+        lines.append(" ".join(f"{v:.17g}" for v in coeffs) + f" {rel} {rhs:.17g}")
+    frees = np.flatnonzero(lp.lower_free)
+    lines.append("free " + (" ".join(str(int(j)) for j in frees) if frees.size else "-"))
+    return "\n".join(lines) + "\n"
+
+
+def margin_ratio(weights, bias: float, d: Dataset) -> float:
+    """max/min of the signed margins y_i*(w.x_i + b); requires full separation."""
+    margins = d.labels * (d.samples @ np.asarray(weights, dtype=np.float64) + bias)
+    lowest = float(margins.min())
+    if lowest <= 0.0:
+        raise ValueError("not separating: minimum signed margin is <= 0")
+    return float(margins.max()) / lowest
+
+
 def random_lp(rng, max_vars=6, max_rows=6):
     """Random small LP with integer coefficients, the oracle's home turf."""
-    from mcmfs.linprog import EQ, GE, LE, LinearProgram
-
     V = int(rng.integers(1, max_vars + 1))
     R = int(rng.integers(1, max_rows + 1))
     c = rng.integers(-5, 6, size=V).astype(np.float64)

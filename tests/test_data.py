@@ -1,10 +1,12 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcmfs.data
 from mcmfs.data import (
     DataError,
     Dataset,
@@ -86,27 +88,78 @@ class TestCsvLoading:
         assert d.samples[:, 0].tolist() == [1.5, 2.0]
         assert d.labels.tolist() == [-1, 1]
 
+    @pytest.mark.parametrize("header", ["label,f1", '"label",f1'])
+    def test_utf8_byte_order_mark(self, tmp_path, header):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF.
+        p = tmp_path / "d.csv"
+        p.write_bytes(f"\ufeff{header}\r\na,1\r\nb,2\r\n".encode())
+        d = load_dataset(str(p))
+        assert d.feature_names == ("f1",)
+        assert d.labels.tolist() == [-1, 1]
+        p.write_bytes("\ufeff+1 1:0.5\n-1 1:2\n".encode())
+        assert load_dataset(str(p), fmt="sparse").labels.tolist() == [1, -1]
+
+    def test_header_only_raises_without_warning(self, tmp_path):
+        p = write(tmp_path, "d.csv", "f1,f2,label\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^empty file: header without data rows$"):
+                load_dataset(p)
+
+    @pytest.mark.parametrize("label_pos", [0, 3000, 7129])
+    def test_plain_wide_file_skips_the_csv_module(self, tmp_path, monkeypatch, label_pos):
+        # Golub's micro-array shape, 72x7129, with the label column first, in
+        # the middle and last: numpy parses such a file, the csv module never.
+        rng = np.random.default_rng(label_pos)
+        header = [f"g{j}" for j in range(1, 7130)]
+        header.insert(label_pos, "label")
+        lines = [",".join(header)]
+        for row, label in zip(rng.normal(size=(72, 7129)), rng.choice(["ALL", "AML"], 72)):
+            cells = [format(v, ".12g") for v in row]
+            cells.insert(label_pos, str(label))
+            lines.append(",".join(cells))
+        path = write(tmp_path, "wide.csv", "\n".join(lines) + "\n")
+        want = _load_oracle(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader was called")
+
+        monkeypatch.setattr(mcmfs.data.csv, "reader", refuse)
+        got = _load_package(path)
+        assert got[0].shape == (72, 7129)
+        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+
 
 # Cells the per-cell reader accepts or rejects in every way that matters:
 # padding, signs, exponents, underscores, non-ASCII digits, overflow to inf,
-# nan, and text.
+# nan, and text.  numpy's parser rejects "1_000", "\u0661\u0662" and
+# "\uff11", which `float` reads, and accepts "\x1c5", which `float` rejects.
 CELLS = ("0", "-0", "1.5", " 2.25 ", "\t-3e-2", "+4", ".5", "5.", "1_000", "\u0661\u0662",
-         "1e-400", "1e400", "-1e400", "nan", "NaN", "inf", "-Infinity",
-         "x", "", " ", "0x10", "1__0", "1,5")
-LABEL_PAIRS = (("a", "b"), ("-1", "+1"), ("2", "10"), (" b", "a,b"), ("a", "b", "c"))
+         "\uff11", "\xa07", "\x1c5", "5\x1f", "#1", "1e-400", "1e400", "-1e400", "nan", "NaN",
+         "inf", "-Infinity", "x", "", " ", "0x10", "1__0", "1,5")
+LABEL_PAIRS = (("a", "b"), ("-1", "+1"), ("2", "10"), (" b", "a,b"), ("#a", "b"), ("a", "b", "c"))
 
 
 @st.composite
 def csv_documents(draw):
-    """A CSV document as physical lines, with blank lines, quoting and ragged rows."""
+    """A CSV document: its physical lines and its text.
+
+    The text may start with a byte-order mark; its lines end in "\\n", "\\r\\n"
+    or a mix of those with a lone "\\r".  Blank lines, whitespace-only lines,
+    quoting and ragged rows come and go; most documents hold no quote, so that
+    both of the loader's paths are exercised.
+    """
     n = draw(st.integers(1, 4))
     label_pos = draw(st.integers(0, n))
-    names = [draw(st.sampled_from((f"f{j}", f" f{j} ", f"f,{j}", "f0"))) for j in range(n)]
+    names = [draw(st.sampled_from((f"f{j}", f" f{j} ", f"f,{j}", "f0", f"#f{j}")))
+             for j in range(n)]
     header = names[:label_pos] + ["label"] + names[label_pos:]
     labels = draw(st.sampled_from(LABEL_PAIRS))
     finite = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".12g"))
     cell = draw(st.sampled_from((finite, st.one_of(finite, st.sampled_from(CELLS)))))
     extra = st.sampled_from((0, -1, 1) if draw(st.integers(0, 3)) == 0 else (0,))
+    quote_some = draw(st.integers(0, 3)) == 0
+    gaps = st.sampled_from(("", "", " ", "\t") if draw(st.integers(0, 7)) == 0 else ("",))
     rows = [header]
     for _ in range(draw(st.integers(0, 5))):
         row = [draw(cell) for _ in range(n)]
@@ -115,10 +168,17 @@ def csv_documents(draw):
         rows.append(row[:ragged] if ragged < 0 else row + ["1"] * ragged)
     lines = []
     for row in rows:
-        quoted = [f'"{c}"' if "," in c or draw(st.booleans()) else c for c in row]
+        quoted = [f'"{c}"' if "," in c or (quote_some and draw(st.booleans())) else c
+                  for c in row]
         lines.append(",".join(quoted))
-        lines += [""] * draw(st.integers(0, 2 if draw(st.booleans()) else 0))
-    return lines
+        lines += [draw(gaps) for _ in range(draw(st.integers(0, 2 if draw(st.booleans()) else 0)))]
+    endings = [draw(st.sampled_from(("\n", "\r\n", "\r"))) for _ in lines]
+    endings = draw(st.sampled_from((["\n"] * len(lines), ["\r\n"] * len(lines), endings)))
+    for i in range(1, len(lines)):
+        if lines[i] == "" and endings[i - 1] == "\r" and endings[i] == "\n":
+            endings[i] = "\r\n"   # "\r" + "\n" would end one line, not two
+    bom = draw(st.sampled_from(("", "\ufeff")))
+    return lines, bom + "".join(line + end for line, end in zip(lines, endings))
 
 
 def _outcome(load, path):
@@ -145,10 +205,11 @@ def _load_oracle(path):
 
 class TestCsvMatchesCellwiseReader:
     @settings(max_examples=300)
-    @given(csv_documents(), st.sampled_from(("\n", "\r\n")))
-    def test_same_dataset_or_error(self, tmp_path_factory, lines, newline):
+    @given(csv_documents())
+    def test_same_dataset_or_error(self, tmp_path_factory, document):
+        lines, text = document
         path = tmp_path_factory.getbasetemp() / "differential.csv"
-        path.write_bytes((newline.join(lines) + newline).encode())
+        path.write_bytes(text.encode())
         got = _outcome(_load_package, str(path))
         want = _outcome(_load_oracle, str(path))
         if want[0] == "error":

@@ -7,15 +7,10 @@ from mcmfs.linprog import (
     LE,
     LinearProgram,
     LpStatus,
-    dump_lp,
     solve_lp,
 )
 from oracles import enumerate_orthant_lp
-from support import random_lp
-
-
-def lp_of(c, rows, free=()):
-    return LinearProgram.from_rows(c, rows, free=free)
+from support import dump_lp, lp_of, random_lp
 
 
 class TestKnownInstances:

@@ -13,9 +13,7 @@ from mcmfs.mcm import (
     McmModel,
     McmTrainingError,
     build_mcm_lp,
-    margin_ratio,
     mcm_classify,
-    mcm_decision,
     mcm_model_from_text,
     mcm_model_to_text,
     reselect,
@@ -23,7 +21,7 @@ from mcmfs.mcm import (
     vc_bound_term,
 )
 from oracles import margin_machine_optimum
-from support import make_dataset, random_two_class
+from support import make_dataset, margin_ratio, random_two_class
 
 TINY_PAIR = make_dataset([[1.0], [-1.0]], [1, -1])
 
@@ -201,13 +199,17 @@ class TestSelection:
 
 class TestDecision:
     def test_dot_product(self):
-        m = dummy_model([1.0, 0.0])
-        assert mcm_decision(m, [2.0, 7.0]) == pytest.approx(2.0)
+        m = McmModel(np.array([1.0, 0.0]), -2.0, 1.0, np.zeros(2), 1.0,
+                     VARIANT_PAPER, (), 0.0, 1.0, 0)
+        # w.x + b is 0 at x1 = 2 whatever x2 is, and negative just below
+        X = [[2.0, 7.0], [2.0, -7.0], [1.999, 7.0], [1.999, -7.0]]
+        assert mcm_classify(m, X).tolist() == [1, 1, -1, -1]
 
     def test_zero_vector_gives_bias(self):
-        m = McmModel(np.array([1.0, 0.0]), 0.25, 1.0, np.zeros(2), 1.0,
-                     VARIANT_PAPER, (), 0.0, 1.0, 0)
-        assert mcm_decision(m, [0.0, 0.0]) == pytest.approx(0.25)
+        for bias, label in ((0.25, 1), (-0.25, -1)):
+            m = McmModel(np.array([1.0, 0.0]), bias, 1.0, np.zeros(2), 1.0,
+                         VARIANT_PAPER, (), 0.0, 1.0, 0)
+            assert mcm_classify(m, [0.0, 0.0]).tolist() == [label]
 
     def test_zero_decision_maps_to_plus_one(self):
         m = dummy_model([1.0])
@@ -215,8 +217,8 @@ class TestDecision:
 
     def test_dimension_mismatch(self):
         m = dummy_model([1.0, 2.0])
-        with pytest.raises(ValueError, match="length-2"):
-            mcm_decision(m, [1.0])
+        with pytest.raises(ValueError, match="with 2 features"):
+            mcm_classify(m, [1.0])
 
 
 class TestMarginRatio:
