@@ -13,9 +13,8 @@ import numpy as np
 
 from . import harness, mcm, svm
 from .data import (SD_FLOOR, DataError, Dataset, Standardizer, apply_standardizer,
-                   document_fields, fit_standardizer, fmt17, load_dataset,
-                   require_two_classes, standardizer_from_fields, standardizer_lines,
-                   stratified_kfold)
+                   document_fields, document_text, fit_standardizer, fmt17, load_dataset,
+                   require_two_classes, standardizer_from_fields, stratified_kfold)
 
 _EXIT_INPUT = 2
 _EXIT_TRAINING = 3
@@ -269,16 +268,11 @@ def svm_model_to_text(model: svm.SvmModel, standardizer: Standardizer | None = N
     ]
     for coef, row in zip(model.coeffs, model.support_samples):
         lines.append("sv " + fmt17(coef) + " " + " ".join(fmt17(v) for v in row))
-    if standardizer is not None:
-        lines += standardizer_lines(standardizer)
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return document_text(lines, standardizer)
 
 
 def svm_model_from_text(text: str) -> tuple[svm.SvmModel, Standardizer | None]:
-    fields_, rows = document_fields(text)
-    if fields_.get("svm-model") != "v1":
-        raise DataError("not an svm-model v1 document")
+    fields_, rows = document_fields(text, "svm-model")
     try:
         subset = tuple(int(j) - 1 for j in fields_["subset"].split())
         sv = np.array([np.array(r.split(), dtype=np.float64) for r in rows])
@@ -307,17 +301,20 @@ def _cmd_predict(args) -> int:
     first = text.splitlines()[0].strip() if text.strip() else ""
     if first.startswith("mcm-model"):
         model, std = mcm.mcm_model_from_text(text)
-        n, classify = model.n_features, mcm.mcm_classify
+        n = model.n_features
     elif first.startswith("svm-model"):
         model, std = svm_model_from_text(text)
-        n, classify = model.n_features_in, svm.svm_predict_batch
+        n = model.n_features_in
     else:
         raise DataError(f"unrecognized model document {args.model}")
     if d.n_features != n:
         raise DataError(f"dimension mismatch: model expects {n} features, "
                         f"dataset has {d.n_features}")
     ds = apply_standardizer(std, d) if std is not None else d
-    labels = classify(model, ds.samples)
+    if first.startswith("mcm-model"):
+        labels = mcm.mcm_classify(model, ds.samples)
+    else:
+        labels = svm.svm_predict_batch(model, ds.samples)
     lines = [f"{sid}\t{int(v):+d}" for sid, v in zip(d.sample_ids, labels)]
     _write_atomic(args.out, "\n".join(lines) + "\n")
     return 0

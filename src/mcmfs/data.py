@@ -197,14 +197,13 @@ def _read_plain_csv(fh, label_column: str):
         lines = _plain_lines(fh)
         header = [h.strip() for h in next(lines, "").split(",")]
         k, width = header.index(label_column), len(header)
-        # Split the line only up to the label field, from the nearer end.
-        if 2 * k < width:
-            cut, at, pieces = (lambda line: line.split(",", k + 1)), k, k + 2
-        else:
-            cut, at, pieces = (lambda line: line.rsplit(",", width - k)), 1, width - k + 1
+        # Split the line from its end only as far as the label field.
+        pieces = min(width, width - k + 1)
+        at = pieces - (width - k)
 
         def rows():
-            for parts in map(cut, lines):
+            for line in lines:
+                parts = line.rsplit(",", width - k)
                 if len(parts) != pieces:
                     raise ValueError("ragged row")
                 raw_labels.append(parts.pop(at).strip())
@@ -321,8 +320,8 @@ def fmt17(v) -> str:
     return format(float(v), ".17g")
 
 
-def document_fields(text: str) -> tuple[dict[str, str], list[str]]:
-    """A model document's `key rest` lines as a key -> rest map, and the rests of its `sv` lines."""
+def document_fields(text: str, kind: str) -> tuple[dict[str, str], list[str]]:
+    """A `kind v1` document's `key rest` lines as a key -> rest map, and the rests of its `sv` lines."""
     fields, sv = {}, []
     for line in text.splitlines():
         line = line.strip()
@@ -332,18 +331,22 @@ def document_fields(text: str) -> tuple[dict[str, str], list[str]]:
                 sv.append(rest)
             else:
                 fields[key] = rest
+    if fields.get(kind) != "v1":
+        raise DataError(f"not an {kind} v1 document")
     return fields, sv
 
 
-def standardizer_lines(s: Standardizer) -> list[str]:
-    """The standardizer block of a model document."""
-    return ["means " + " ".join(fmt17(v) for v in s.means),
-            "sds " + " ".join(fmt17(v) for v in s.sds),
-            f"sd-floor {fmt17(s.sd_floor)}"]
+def document_text(lines: list[str], s: Standardizer | None) -> str:
+    """A model document: `lines`, the standardizer block when `s` is given, and `end`."""
+    if s is not None:
+        lines = lines + ["means " + " ".join(fmt17(v) for v in s.means),
+                         "sds " + " ".join(fmt17(v) for v in s.sds),
+                         f"sd-floor {fmt17(s.sd_floor)}"]
+    return "\n".join(lines + ["end"]) + "\n"
 
 
 def standardizer_from_fields(fields: dict[str, str]) -> Standardizer | None:
-    """Read back the block of `standardizer_lines` from a document's key -> rest map.
+    """Read back the standardizer block of `document_text` from a document's key -> rest map.
 
     Returns None when the document has no `means` line.  A missing `sds` line
     raises KeyError and an unparsable value ValueError, for the codec to report.

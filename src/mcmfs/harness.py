@@ -135,9 +135,11 @@ def run_method_cv(d: Dataset, method: str, plan: FoldPlan, cfg: HarnessConfig) -
     started = time.perf_counter()
 
     global_selected = None
+    global_empty = False
     if cfg.selection == "global":
         std_full = fit_standardizer(d)
-        global_selected = _select_features(apply_standardizer(std_full, d), method, cfg)
+        selected = _select_features(apply_standardizer(std_full, d), method, cfg)
+        global_selected, global_empty = selected, not selected
 
     accuracies = []
     per_fold_selected = []
@@ -149,9 +151,12 @@ def run_method_cv(d: Dataset, method: str, plan: FoldPlan, cfg: HarnessConfig) -
         std = fit_standardizer(train)
         train_s = apply_standardizer(std, train)
         test_s = apply_standardizer(std, test)
-        selected = (global_selected if global_selected is not None
-                    else _select_features(train_s, method, cfg))
-        if not selected:
+        if global_selected is not None:
+            selected, empty = global_selected, global_empty
+        else:
+            selected = _select_features(train_s, method, cfg)
+            empty = not selected
+        if empty:
             # fall back to the full feature set but keep the fold flagged
             empty_folds.append(f)
             selected = tuple(range(d.n_features))
@@ -162,7 +167,7 @@ def run_method_cv(d: Dataset, method: str, plan: FoldPlan, cfg: HarnessConfig) -
         per_fold_selected.append(tuple(selected))
         hyperparameters.append((float(C), float(gamma)))
 
-    if global_selected:   # a nonempty global selection
+    if global_selected is not None and not global_empty:
         count = float(len(global_selected))
     else:
         count = float(np.mean([len(s) for s in per_fold_selected]))

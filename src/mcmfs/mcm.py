@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (DataError, Dataset, Standardizer, document_fields, fmt17,
-                   require_two_classes, standardizer_from_fields, standardizer_lines)
+from .data import (DataError, Dataset, Standardizer, document_fields, document_text,
+                   fmt17, require_two_classes, standardizer_from_fields)
 from .linprog import GE, LE, LinearProgram, LpStatus, solve_lp
 
 VARIANT_PAPER = "paper"      # slack enters both the capacity and the margin rows
@@ -213,16 +213,11 @@ def mcm_model_to_text(model: McmModel, standardizer: Standardizer | None = None)
         "w " + " ".join(fmt17(v) for v in model.weights),
         "selected " + (" ".join(str(j) for j in model.selected) if model.selected else "-"),
     ]
-    if standardizer is not None:
-        lines += standardizer_lines(standardizer)
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return document_text(lines, standardizer)
 
 
 def mcm_model_from_text(text: str) -> tuple[McmModel, Standardizer | None]:
-    fields, _ = document_fields(text)
-    if fields.get("mcm-model") != "v1":
-        raise DataError("not an mcm-model v1 document")
+    fields, _ = document_fields(text, "mcm-model")
     try:
         n = int(fields["n"])
         weights = np.array([float(v) for v in fields["w"].split()], dtype=np.float64)
