@@ -114,6 +114,7 @@ def main(argv=None) -> int:
         "git": {s: git_sha(c) for s, c in checkouts.items()},
         "runs": [],
     }
+    os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     for pair, seed in enumerate(doc["seeds"]):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]

@@ -24,9 +24,9 @@ def fake_checkout(root, correct, attempted, failed, seconds):
     return str(root)
 
 
-def run(tmp_path, parent, change):
+def run(out_dir, parent, change):
     return bench_pairs.main(["--parent", parent, "--change", change, "--workload", "w",
-                             "--seeds", "1-3", "--label", "t", "--out-dir", str(tmp_path)])
+                             "--seeds", "1-3", "--label", "t", "--out-dir", str(out_dir)])
 
 
 def test_summary_counts_operations(tmp_path):
@@ -47,3 +47,10 @@ def test_failed_checks_stop_the_run(tmp_path, capsys, side):
     err = capsys.readouterr().err
     assert f"pair 0 seed 1 {side}:" in err
     assert checkouts[side] in err and "reported correct false" in err
+
+
+def test_missing_out_dir_is_created(tmp_path):
+    parent = fake_checkout(tmp_path / "parent", True, 10, 0, 2.0)
+    change = fake_checkout(tmp_path / "change", True, 10, 0, 1.0)
+    assert run(tmp_path / "new" / "dir", parent, change) == 0
+    assert (tmp_path / "new" / "dir" / "BENCH_t.json").exists()
