@@ -13,8 +13,8 @@ import numpy as np
 
 from . import harness, mcm, svm
 from .data import (SD_FLOOR, DataError, Dataset, Standardizer, apply_standardizer,
-                   document_fields, document_text, fit_standardizer, fmt17, load_dataset,
-                   require_two_classes, standardizer_from_fields, stratified_kfold)
+                   document_fields, document_text, fit_standardizer, fmt17, fmt17_join,
+                   load_dataset, require_two_classes, standardizer_from_fields, stratified_kfold)
 
 _EXIT_INPUT = 2
 _EXIT_TRAINING = 3
@@ -266,8 +266,8 @@ def svm_model_to_text(model: svm.SvmModel, standardizer: Standardizer | None = N
         "subset " + " ".join(str(j + 1) for j in model.feature_subset),
         f"support {model.coeffs.size}",
     ]
-    for coef, row in zip(model.coeffs, model.support_samples):
-        lines.append("sv " + fmt17(coef) + " " + " ".join(fmt17(v) for v in row))
+    lines.extend("sv " + fmt17_join(row)
+                 for row in np.column_stack([model.coeffs, model.support_samples]))
     return document_text(lines, standardizer)
 
 

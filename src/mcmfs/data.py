@@ -320,6 +320,12 @@ def fmt17(v) -> str:
     return format(float(v), ".17g")
 
 
+def fmt17_join(values) -> str:
+    """fmt17 of each value, space-separated, in one %-format (the same conversion)."""
+    values = tuple(np.asarray(values, dtype=np.float64).tolist())
+    return " ".join(["%.17g"] * len(values)) % values
+
+
 def document_fields(text: str, kind: str) -> tuple[dict[str, str], list[str]]:
     """A `kind v1` document's `key rest` lines as a key -> rest map, and the rests of its `sv` lines."""
     fields, sv = {}, []
@@ -339,8 +345,8 @@ def document_fields(text: str, kind: str) -> tuple[dict[str, str], list[str]]:
 def document_text(lines: list[str], s: Standardizer | None) -> str:
     """A model document: `lines`, the standardizer block when `s` is given, and `end`."""
     if s is not None:
-        lines = lines + ["means " + " ".join(fmt17(v) for v in s.means),
-                         "sds " + " ".join(fmt17(v) for v in s.sds),
+        lines = lines + ["means " + fmt17_join(s.means),
+                         "sds " + fmt17_join(s.sds),
                          f"sd-floor {fmt17(s.sd_floor)}"]
     return "\n".join(lines + ["end"]) + "\n"
 

@@ -87,8 +87,10 @@ def relieff_rank(d: Dataset, k_neighbors: int = 10, seed: int = 42) -> FeatureRa
 
     weights = np.zeros(n)
     scale = 1.0 / (M * k_neighbors)
+    diffs = np.empty_like(X)
     for i in range(M):
-        diffs = np.abs(X - X[i])
+        np.subtract(X, X[i], out=diffs)
+        np.abs(diffs, out=diffs)
         dists = diffs.sum(axis=1)
         order = np.lexsort((tie_rank, dists))
         same = y[order] == y[i]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import (DataError, Dataset, Standardizer, document_fields, document_text,
-                   fmt17, require_two_classes, standardizer_from_fields)
+                   fmt17, fmt17_join, require_two_classes, standardizer_from_fields)
 from .linprog import GE, LE, LinearProgram, LpStatus, solve_lp
 
 VARIANT_PAPER = "paper"      # slack enters both the capacity and the margin rows
@@ -210,7 +210,7 @@ def mcm_model_to_text(model: McmModel, standardizer: Standardizer | None = None)
         f"h {fmt17(model.capacity)}",
         f"threshold {fmt17(model.threshold_used)}",
         f"objective {fmt17(model.objective_value)}",
-        "w " + " ".join(fmt17(v) for v in model.weights),
+        "w " + fmt17_join(model.weights),
         "selected " + (" ".join(str(j) for j in model.selected) if model.selected else "-"),
     ]
     return document_text(lines, standardizer)

@@ -28,6 +28,11 @@ class SvmModel:
     `support_samples` is already restricted to `feature_subset`; prediction
     applies the same restriction to incoming full-width samples.  Every value
     must be finite, and `C` and `kernel_gamma` positive.
+
+    `never_at_C` is True only on a model that `train_svm` returns when no
+    alpha reached C at any SMO step: SMO then takes the same path at every
+    larger C, so these alphas and this bias solve those problems too.  It is
+    not part of a model document, and False never allows that reuse.
     """
 
     support_samples: np.ndarray
@@ -37,6 +42,7 @@ class SvmModel:
     C: float
     feature_subset: tuple[int, ...]
     n_features_in: int
+    never_at_C: bool = False
 
     def __post_init__(self):
         support = np.array(self.support_samples, dtype=np.float64, ndmin=2)
@@ -59,6 +65,11 @@ def _kernel_matrix(X: np.ndarray, Z: np.ndarray, gamma: float) -> np.ndarray:
     z2 = (Z * Z).sum(axis=1)
     d2 = np.maximum(x2[:, None] + z2[None, :] - 2.0 * (X @ Z.T), 0.0)
     return np.exp(-gamma * d2)
+
+
+def _support_floor(C: float) -> float:
+    """Alphas at or below this are dropped from a model trained at C."""
+    return 1e-10 * max(C, 1.0)
 
 
 def _validate_subset(subset, n_features: int) -> tuple[int, ...]:
@@ -84,7 +95,8 @@ def train_svm(d: Dataset, feature_subset, C: float, kernel_gamma: float,
     rows.  It stops when max_{I_up} F - min_{I_low} F < kkt_tol.  The bias is
     the mean of F over free alphas, or the midpoint of those two bounds when
     no alpha is free (Keerthi et al. 2001).  Raises SvmTrainingError after
-    MAX_ITER steps.
+    MAX_ITER steps.  The model's `never_at_C` records whether every alpha
+    stayed below C on every step, not only at the end.
     """
     if not (0.0 < C < math.inf and 0.0 < kernel_gamma < math.inf):
         raise ValueError("C and kernel_gamma must be positive and finite")
@@ -107,6 +119,7 @@ def train_svm(d: Dataset, feature_subset, C: float, kernel_gamma: float,
     low_pen = np.where(y < 0, 0.0, math.inf)
 
     steps = 0
+    reached_C = False
     while True:
         F_up = F + up_pen
         i = int(F_up.argmax())
@@ -133,13 +146,15 @@ def train_svm(d: Dataset, feature_subset, C: float, kernel_gamma: float,
         F -= (yi * (alpha[i] - ai)) * K[i] + (yj * (alpha[j] - aj)) * K[j]
         for k in (i, j):
             a, pos = alpha[k], labels[k] > 0
-            up_pen[k] = 0.0 if (a < C if pos else a > 0.0) else -math.inf
-            low_pen[k] = 0.0 if (a > 0.0 if pos else a < C) else math.inf
+            below_C = a < C
+            reached_C = reached_C or not below_C
+            up_pen[k] = 0.0 if (below_C if pos else a > 0.0) else -math.inf
+            low_pen[k] = 0.0 if (a > 0.0 if pos else below_C) else math.inf
 
     alpha = np.array(alpha)
     free = (alpha > 0.0) & (alpha < C)
     bias = float(F[free].mean()) if free.any() else 0.5 * (F_max + F_min)
-    keep = alpha > 1e-10 * max(C, 1.0)
+    keep = alpha > _support_floor(C)
     return SvmModel(
         support_samples=X[keep],
         coeffs=(alpha * y)[keep],
@@ -148,7 +163,19 @@ def train_svm(d: Dataset, feature_subset, C: float, kernel_gamma: float,
         C=float(C),
         feature_subset=subset,
         n_features_in=d.n_features,
+        never_at_C=not reached_C,
     )
+
+
+def _at_larger_C(model: SvmModel, C: float) -> SvmModel:
+    """The solution at C >= model.C of a problem whose SMO path never reached model.C.
+
+    The alphas and bias are the same; only the support floor rises with C.
+    """
+    keep = np.abs(model.coeffs) > _support_floor(C)
+    return SvmModel(model.support_samples[keep], model.coeffs[keep], model.bias,
+                    model.kernel_gamma, C, model.feature_subset, model.n_features_in,
+                    never_at_C=True)
 
 
 def svm_decision_values(model: SvmModel, X) -> np.ndarray:
@@ -177,6 +204,10 @@ def grid_search(d: Dataset, feature_subset, C_grid=DEFAULT_C_GRID,
     Grids are scanned in ascending order with strictly-better updates, so ties
     resolve toward the smaller C and then the smaller gamma.  A cell whose
     training fails anywhere scores 0.  Returns (C, gamma, cv_accuracy).
+
+    Per split and gamma, the first model trained with `never_at_C` also
+    serves every larger C (`_at_larger_C`) instead of being trained again;
+    every other cell calls `train_svm`.
     """
     subset = _validate_subset(feature_subset, d.n_features)
     Cs = sorted(float(v) for v in C_grid)
@@ -186,17 +217,23 @@ def grid_search(d: Dataset, feature_subset, C_grid=DEFAULT_C_GRID,
     plan = stratified_kfold(d, folds, seed)
     splits = [(d.take(plan.train_indices(f)), d.take(plan.test_indices(f)))
               for f in range(folds)]
+    exact = {}  # (split, gamma) -> a model that solves every larger C
     best = None
     for C in Cs:
         for gamma in gammas:
             total = 0.0
             failed = False
-            for train, test in splits:
-                try:
-                    model = train_svm(train, subset, C, gamma)
-                except SvmTrainingError:
-                    failed = True
-                    break
+            for s, (train, test) in enumerate(splits):
+                if (s, gamma) in exact:
+                    model = _at_larger_C(exact[s, gamma], C)
+                else:
+                    try:
+                        model = train_svm(train, subset, C, gamma)
+                    except SvmTrainingError:
+                        failed = True
+                        break
+                    if model.never_at_C:
+                        exact[s, gamma] = model
                 pred = svm_predict_batch(model, test.samples)
                 total += float((pred == test.labels).mean())
             acc = 0.0 if failed else total / folds

@@ -5,7 +5,8 @@ and ray enumeration for linear programs, exhaustive active-set enumeration for
 the kernel-machine dual, a literal double-loop neighbor scan for the
 relevance weights, and the per-cell, per-column and per-pair loops that the
 package's CSV loader, discretizer and FCBF replace with whole-matrix numpy.
-None of it shares code with the package under test.
+None of it shares code with the package under test, except the SVM grid
+search, which checks only the search around the package's trainer.
 """
 
 from __future__ import annotations
@@ -315,3 +316,34 @@ def fcbf_pairwise(X, labels, delta=0.0):
         survivors.append(f)
         queue = [g for g in queue if su_codes(X[:, f], X[:, g]) < su_class[g]]
     return tuple(sorted(survivors))
+
+
+def grid_search_every_cell(d, feature_subset, C_grid, gamma_grid, folds=5, seed=42):
+    """The SVM grid search with a `train_svm` call for every (C, gamma, split).
+
+    It checks the package's search, which skips cells whose answer a smaller C
+    already gave, so it calls the package's trainer, predictor and fold plan.
+    Same scan order and tie rule: ascending grids, strictly-better updates, and
+    0 for a cell whose training fails on any split.  Returns (C, gamma, accuracy).
+    """
+    from mcmfs.data import stratified_kfold
+    from mcmfs.svm import SvmTrainingError, svm_predict_batch, train_svm
+
+    plan = stratified_kfold(d, folds, seed)
+    best = None
+    for C in sorted(float(v) for v in C_grid):
+        for gamma in sorted(float(v) for v in gamma_grid):
+            scores = []
+            for f in range(folds):
+                train, test = d.take(plan.train_indices(f)), d.take(plan.test_indices(f))
+                try:
+                    model = train_svm(train, feature_subset, C, gamma)
+                except SvmTrainingError:
+                    scores = [0.0] * folds
+                    break
+                scores.append(float((svm_predict_batch(model, test.samples)
+                                     == test.labels).mean()))
+            acc = sum(scores) / folds
+            if best is None or acc > best[2]:
+                best = (C, gamma, acc)
+    return best

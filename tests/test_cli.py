@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import mcmfs.mcm
-from mcmfs.cli import _config, build_parser, main
+from mcmfs.cli import _config, build_parser, main, svm_model_to_text
+from mcmfs.data import Standardizer, document_text, fmt17
 from mcmfs.harness import HarnessConfig
+from mcmfs.svm import SvmModel
 from support import make_dataset, write_csv
 
 
@@ -232,6 +234,51 @@ class TestTrainPredict:
 
 BENCH_ARGS = ["--folds", "3", "--svm-c-grid", "1", "--svm-gamma-grid", "0.5",
               "--k-neighbors", "2", "--inner-folds", "3"]
+
+
+# Values whose shortest text form differs most between formatters: a signed
+# zero, the smallest subnormal, an integer past 2^53, a repeating fraction and
+# the largest finite double.
+EDGE_VALUES = [-0.0, 5e-324, 1e16, 1 / 3, float(np.finfo(np.float64).max)]
+
+
+def joined17(values):
+    return " ".join(fmt17(v) for v in values)
+
+
+class TestModelDocumentBytes:
+    """Documents equal, byte for byte, a per-value fmt17 join of every float."""
+
+    def edge_model_and_standardizer(self):
+        rng = np.random.default_rng(8)
+        values = EDGE_VALUES + [-v for v in EDGE_VALUES] + rng.normal(size=6).tolist()
+        support = np.array(values).reshape(4, 4)
+        coeffs = np.array([-0.0, 5e-324, 1 / 3, -1e16])
+        model = SvmModel(support, coeffs, 1 / 3, 1e16, 5e-324, (0, 2, 3, 4), 6)
+        std = Standardizer(values[:6], EDGE_VALUES[1:] + [2.0, 0.5], sd_floor=5e-324)
+        return model, std
+
+    def test_svm_document(self):
+        model, std = self.edge_model_and_standardizer()
+        expected = "\n".join(
+            ["svm-model v1", "n 6", f"C {fmt17(model.C)}", f"kernel-gamma {fmt17(1e16)}",
+             f"bias {fmt17(1 / 3)}", "subset 1 3 4 5", "support 4"]
+            + ["sv " + joined17([c, *row]) for c, row in zip(model.coeffs,
+                                                           model.support_samples)]
+            + ["means " + joined17(std.means), "sds " + joined17(std.sds),
+               f"sd-floor {fmt17(5e-324)}", "end"]) + "\n"
+        assert svm_model_to_text(model, std) == expected
+        assert "\nsv -0 -0 4.9406564584124654e-324 10000000000000000 0.33333333333333331\n" in expected
+
+    def test_standardizer_block_and_mcm_weights(self):
+        _, std = self.edge_model_and_standardizer()
+        assert document_text(["x v1"], std) == (
+            f"x v1\nmeans {joined17(std.means)}\nsds {joined17(std.sds)}\n"
+            f"sd-floor {fmt17(std.sd_floor)}\nend\n")
+        weights = EDGE_VALUES + [-v for v in EDGE_VALUES]
+        model = mcmfs.mcm.McmModel(weights, 0.0, 1.0, [], 1.0, mcmfs.mcm.VARIANT_PAPER,
+                                   (), 0.0, 0.0, 0)
+        assert f"\nw {joined17(weights)}\n" in mcmfs.mcm.mcm_model_to_text(model)
 
 
 class TestBenchmark:

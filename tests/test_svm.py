@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mcmfs import svm
+from mcmfs.cli import svm_model_from_text, svm_model_to_text
 from mcmfs.data import DataError
 from mcmfs.svm import (
     SvmModel,
@@ -12,11 +13,12 @@ from mcmfs.svm import (
     svm_predict_batch,
     train_svm,
 )
-from oracles import kernel_dual_optimum
+from oracles import grid_search_every_cell, kernel_dual_optimum
 from support import (
     alphas_for,
     dual_objective,
     gram,
+    make_benchmark_dataset,
     make_dataset,
     random_two_class,
     xor_dataset,
@@ -214,3 +216,142 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             grid_search(XOR, (0, 1), C_grid=[], gamma_grid=[1.0])
+
+
+DEFAULT_GRIDS = (svm.DEFAULT_C_GRID, svm.DEFAULT_GAMMA_GRID)
+# The 3x3 subgrid that pipebench's cv workloads search.
+SUBGRIDS = ((2.0 ** -5, 2.0 ** 5, 2.0 ** 15), (2.0 ** -15, 2.0 ** -7, 2.0 ** 1))
+
+
+def record_training(monkeypatch):
+    """Replace svm.train_svm with a wrapper that logs (split ids, C, gamma, outcome)."""
+    calls = []
+    train = svm.train_svm
+
+    def wrapper(d, feature_subset, C, kernel_gamma):
+        key = (d.sample_ids, C, kernel_gamma)
+        try:
+            model = train(d, feature_subset, C, kernel_gamma)
+        except SvmTrainingError:
+            calls.append(key + ("failed",))
+            raise
+        calls.append(key + (model.never_at_C,))
+        return model
+
+    monkeypatch.setattr(svm, "train_svm", wrapper)
+    return calls
+
+
+class TestGridReuse:
+    """grid_search reuses a solution along C only where SMO's path never reached C."""
+
+    def test_reuse_equals_the_solve_at_the_larger_C(self):
+        rng = np.random.default_rng(5)
+        reused = 0
+        for _ in range(40):
+            d = random_two_class(rng, m=int(rng.integers(6, 16)), n=2)
+            for C in (0.5, 2.0, 8.0):
+                model = train_svm(d, (0, 1), C=C, kernel_gamma=1.0)
+                if not model.never_at_C:
+                    continue
+                solved = train_svm(d, (0, 1), C=64.0 * C, kernel_gamma=1.0)
+                reuse = svm._at_larger_C(model, 64.0 * C)
+                np.testing.assert_array_equal(reuse.coeffs, solved.coeffs)
+                np.testing.assert_array_equal(reuse.support_samples, solved.support_samples)
+                assert (reuse.bias, reuse.C, reuse.never_at_C) == (solved.bias, solved.C, True)
+                reused += 1
+        assert reused >= 20
+
+    def test_path_that_touched_C_is_not_marked(self):
+        # An alpha reaches C = 2 on the way and ends below it; the solve at a
+        # larger C differs, so the final alphas alone must not allow reuse.
+        rng = np.random.default_rng(135)
+        d = random_two_class(rng, m=int(rng.integers(6, 16)), n=2)
+        model = train_svm(d, (0, 1), C=2.0, kernel_gamma=1.0)
+        assert alphas_for(model, d).max() < 2.0
+        assert not model.never_at_C
+        solved = train_svm(d, (0, 1), C=128.0, kernel_gamma=1.0)
+        assert not np.array_equal(solved.coeffs, model.coeffs)
+
+    def test_built_and_loaded_models_are_never_reused(self):
+        trained = train_svm(XOR, (0, 1), C=10.0, kernel_gamma=1.0)
+        assert trained.never_at_C
+        loaded, _ = svm_model_from_text(svm_model_to_text(trained))
+        built = SvmModel(trained.support_samples, trained.coeffs, trained.bias,
+                         trained.kernel_gamma, trained.C, trained.feature_subset,
+                         trained.n_features_in)
+        assert not loaded.never_at_C and not built.never_at_C
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("m, subset, grids, folds", [
+        (40, (0, 1, 6, 8), DEFAULT_GRIDS, 3),
+        (60, (0, 7, 9, 11), SUBGRIDS, 2),
+    ])
+    def test_same_result_as_training_every_cell(self, monkeypatch, seed, m, subset,
+                                                grids, folds):
+        d = make_benchmark_dataset(m=m, n=30, seed=seed)
+        expected = grid_search_every_cell(d, subset, *grids, folds=folds)
+        calls = record_training(monkeypatch)
+        assert grid_search(d, subset, *grids, folds=folds) == expected
+        assert len(calls) <= len(grids[0]) * len(grids[1]) * folds
+
+    def test_cells_below_C_are_not_trained_again(self, monkeypatch):
+        d = make_benchmark_dataset(m=40, n=30, seed=1)
+        subset = tuple(range(5, 25))
+        expected = grid_search_every_cell(d, subset, *DEFAULT_GRIDS)
+        calls = record_training(monkeypatch)
+        assert grid_search(d, subset) == expected
+        assert len(calls) < len(svm.DEFAULT_C_GRID) * len(svm.DEFAULT_GAMMA_GRID) * 5
+        first_exact = {}
+        for ids, C, gamma, outcome in calls:
+            assert (ids, gamma) not in first_exact, "a reusable cell was trained again"
+            if outcome is True:
+                first_exact[ids, gamma] = C
+        assert first_exact
+
+    def test_failed_cells_score_zero_and_are_trained_again(self, monkeypatch):
+        monkeypatch.setattr(svm, "MAX_ITER", 40)
+        d = make_benchmark_dataset(m=40, n=30, seed=2)
+        subset = (0, 1, 6, 8)
+        expected = grid_search_every_cell(d, subset, *DEFAULT_GRIDS, folds=3)
+        calls = record_training(monkeypatch)
+        assert grid_search(d, subset, folds=3) == expected
+        Cs = sorted(svm.DEFAULT_C_GRID)
+        first_split = calls[0][0]
+        failed = [(C, gamma) for ids, C, gamma, outcome in calls
+                  if ids == first_split and outcome == "failed" and C < Cs[-1]]
+        assert failed
+        trained = {(C, gamma) for ids, C, gamma, _ in calls if ids == first_split}
+        for C, gamma in failed:
+            assert (Cs[Cs.index(C) + 1], gamma) in trained
+
+        monkeypatch.setattr(svm, "MAX_ITER", 1)
+        assert grid_search(d, subset, C_grid=[1.0, 4.0], gamma_grid=[0.5],
+                           folds=3) == (1.0, 0.5, 0.0)
+
+    def test_reuse_drops_alphas_under_the_larger_floor(self, monkeypatch):
+        # 1e-6 is above the support floor at C = 1 (1e-10) and below it at
+        # C = 2^15 (about 3.3e-6).
+        tiny = 1e-6
+
+        def train(d, feature_subset, C, kernel_gamma):
+            return SvmModel(d.samples[:3], [0.5, -0.5 - tiny, tiny], 0.25, kernel_gamma, C,
+                            feature_subset, d.n_features, never_at_C=True)
+
+        scored = []
+        predict = svm.svm_predict_batch
+
+        def record(model, X):
+            scored.append(model)
+            return predict(model, X)
+
+        monkeypatch.setattr(svm, "train_svm", train)
+        monkeypatch.setattr(svm, "svm_predict_batch", record)
+        grid_search(wide_margin_dataset(), (0,), C_grid=[1.0, 2.0 ** 15], gamma_grid=[1.0],
+                    folds=2)
+        assert [m.C for m in scored] == [1.0, 1.0, 2.0 ** 15, 2.0 ** 15]
+        assert [m.coeffs.size for m in scored] == [3, 3, 2, 2]
+        for small, large in zip(scored[:2], scored[2:]):
+            np.testing.assert_array_equal(large.coeffs, small.coeffs[:2])
+            np.testing.assert_array_equal(large.support_samples, small.support_samples[:2])
+            assert large.bias == small.bias
