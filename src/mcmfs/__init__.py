@@ -9,9 +9,8 @@ baselines plus a cross-validated RBF-SVM harness round out the toolkit.
 from .data import (DataError, Dataset, FoldPlan, Standardizer,
                    apply_standardizer, fit_standardizer, load_dataset,
                    stratified_kfold)
-from .filters import (DiscreteDataset, FeatureRanking,
-                      cumulative_fraction_select, discretize_equal_frequency,
-                      fcbf_select, relieff_rank, symmetrical_uncertainty)
+from .filters import (DiscreteDataset, cumulative_fraction_select,
+                      discretize_equal_frequency, fcbf_select, relieff_rank)
 from .harness import (CvReport, HarnessConfig, MethodRecord, compare_methods,
                       format_table, report_to_text, run_method_cv)
 from .linprog import EQ, GE, LE, LinearProgram, LpSolution, LpStatus, solve_lp
@@ -25,9 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DataError", "Dataset", "FoldPlan", "Standardizer",
     "apply_standardizer", "fit_standardizer", "load_dataset", "stratified_kfold",
-    "DiscreteDataset", "FeatureRanking", "cumulative_fraction_select",
+    "DiscreteDataset", "cumulative_fraction_select",
     "discretize_equal_frequency", "fcbf_select", "relieff_rank",
-    "symmetrical_uncertainty",
     "CvReport", "HarnessConfig", "MethodRecord", "compare_methods",
     "format_table", "report_to_text", "run_method_cv",
     "EQ", "GE", "LE", "LinearProgram", "LpSolution", "LpStatus", "solve_lp",

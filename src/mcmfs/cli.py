@@ -315,7 +315,7 @@ def _cmd_predict(args) -> int:
         labels = mcm.mcm_classify(model, ds.samples)
     else:
         labels = svm.svm_predict_batch(model, ds.samples)
-    lines = [f"{sid}\t{int(v):+d}" for sid, v in zip(d.sample_ids, labels)]
+    lines = [f"s{i}\t{int(v):+d}" for i, v in enumerate(labels, start=1)]
     _write_atomic(args.out, "\n".join(lines) + "\n")
     return 0
 

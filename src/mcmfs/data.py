@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,19 +51,16 @@ class Dataset:
     samples : (M, n) float64 array, finite throughout.
     labels : (M,) int array with values in {-1, +1}.
     feature_names : n unique names, index-aligned with the columns.
-    sample_ids : M identifiers, index-aligned with the rows.
     """
 
     samples: np.ndarray
     labels: np.ndarray
     feature_names: tuple[str, ...]
-    sample_ids: tuple[str, ...]
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=np.float64, order="C", ndmin=2)
         labels = np.array(self.labels, dtype=np.int64)
         names = tuple(str(v) for v in self.feature_names)
-        ids = tuple(str(v) for v in self.sample_ids)
         if samples.ndim != 2:
             raise DataError("samples must form a 2-D matrix")
         m, n = samples.shape
@@ -78,14 +76,11 @@ class Dataset:
             raise DataError("feature_names length does not match the feature count")
         if len(set(names)) != n:
             raise DataError("feature names must be unique")
-        if len(ids) != m:
-            raise DataError("sample_ids length does not match the sample count")
         samples.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "sample_ids", ids)
 
     @property
     def n_samples(self) -> int:
@@ -101,12 +96,7 @@ class Dataset:
     def take(self, rows) -> "Dataset":
         """Row subset preserving order, used to materialize fold splits."""
         rows = np.asarray(rows, dtype=np.int64)
-        return Dataset(
-            self.samples[rows],
-            self.labels[rows],
-            self.feature_names,
-            tuple(self.sample_ids[int(i)] for i in rows),
-        )
+        return Dataset(self.samples[rows], self.labels[rows], self.feature_names)
 
 
 def require_two_classes(d: Dataset) -> None:
@@ -156,8 +146,12 @@ def _parse_row(cells: list[str], where: str) -> np.ndarray:
 
 
 def _load_csv(path, label_column: str) -> Dataset:
-    with open(path, newline="\n", encoding="utf-8-sig") as fh:
-        parsed = _read_plain_csv(fh, label_column)
+    with open(path, "rb") as fh:
+        plain = _is_plain(fh)
+    parsed = None
+    if plain:
+        with open(path, newline="\n", encoding="utf-8-sig") as fh:
+            parsed = _read_plain_csv(fh, label_column)
     if parsed is None:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -168,19 +162,36 @@ def _load_csv(path, label_column: str) -> Dataset:
     return _labeled(*parsed)
 
 
-# Not plain: a quote, stray carriage return or NUL, which the csv module treats
-# specially, and U+001C..U+001F, which numpy strips around a number but `float` rejects.
-_NOT_PLAIN = ('"', "\r", "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+# Not plain: a quote, NUL or carriage return outside CRLF, which the csv module
+# treats specially, and U+001C..U+001F, which numpy strips around a number but
+# `float` rejects.  No byte of a multi-byte UTF-8 character is one of these.
+_NOT_PLAIN = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_STRAY_CR = re.compile(b"\r(?!\n)")
+
+
+def _is_plain(fh) -> bool:
+    """Whether the binary file `fh` holds none of the bytes that make a file not plain.
+
+    It is read in 64 KB chunks, so that deciding holds no copy of the file.
+    """
+    while chunk := fh.read(1 << 16):
+        if chunk.endswith(b"\r"):
+            chunk += fh.read(1)
+        if any(c in chunk for c in _NOT_PLAIN) or b"\r" in chunk and _STRAY_CR.search(chunk):
+            return False
+    return True
 
 
 def _plain_lines(fh):
-    """The non-empty lines of `fh` without their endings; ValueError at one that is not plain."""
+    """The non-empty lines of a plain `fh` without their endings.
+
+    ValueError at a line holding a field longer than the csv module accepts.
+    """
     limit = csv.field_size_limit()
     for line in fh:
         line = line.removesuffix("\n").removesuffix("\r")
-        if any(c in line for c in _NOT_PLAIN) or (
-                len(line) > limit and max(map(len, line.split(","))) > limit):
-            raise ValueError("not a plain line")
+        if len(line) > limit and max(map(len, line.split(","))) > limit:
+            raise ValueError("field larger than the csv limit")
         if line:
             yield line
 
@@ -188,9 +199,9 @@ def _plain_lines(fh):
 def _read_plain_csv(fh, label_column: str):
     """`_read_csv`'s result for a plain file, streamed through numpy's C parser.
 
-    Any doubt (a line that is not plain, a cell numpy rejects, anything
-    `_read_csv` rejects) gives None instead, for `_read_csv` to name the line.
-    numpy accepts no cell `float` rejects and reads the others to the same double.
+    Any doubt (a cell numpy rejects, anything `_read_csv` rejects) gives None
+    instead, for `_read_csv` to name the line.  numpy accepts no cell `float`
+    rejects and reads the others to the same double.
     """
     raw_labels = []
     try:
@@ -246,8 +257,7 @@ def _read_csv(reader, label_column: str):
 
 def _labeled(samples, raw_labels, names) -> Dataset:
     mapping = _canonical_label_map(raw_labels)
-    ids = tuple(f"s{i}" for i in range(1, len(raw_labels) + 1))
-    return Dataset(samples, [mapping[v] for v in raw_labels], names, ids)
+    return Dataset(samples, [mapping[v] for v in raw_labels], names)
 
 
 def _load_sparse(path) -> Dataset:
@@ -364,13 +374,13 @@ def standardizer_from_fields(fields: dict[str, str]) -> Standardizer | None:
                         float(fields.get("sd-floor", SD_FLOOR)))
 
 
-def fit_standardizer(train: Dataset, sd_floor: float = SD_FLOOR) -> Standardizer:
+def fit_standardizer(train: Dataset) -> Standardizer:
     """Estimate per-feature mean and population sd on `train`, flooring tiny sds."""
     if train.n_samples < 2:
         raise DataError("standardizer needs at least two samples")
     means = train.samples.mean(axis=0)
-    sds = np.maximum(train.samples.std(axis=0), sd_floor)
-    return Standardizer(means, sds, sd_floor)
+    sds = np.maximum(train.samples.std(axis=0), SD_FLOOR)
+    return Standardizer(means, sds)
 
 
 def apply_standardizer(s: Standardizer, d: Dataset) -> Dataset:
@@ -378,7 +388,7 @@ def apply_standardizer(s: Standardizer, d: Dataset) -> Dataset:
         raise DataError(
             f"dimension mismatch: standardizer has {s.n_features} features, dataset has {d.n_features}"
         )
-    return Dataset((d.samples - s.means) / s.sds, d.labels, d.feature_names, d.sample_ids)
+    return Dataset((d.samples - s.means) / s.sds, d.labels, d.feature_names)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 ReliefF scores features by contrasting each sample against its nearest
 neighbors of the same and opposite class; a cumulative-mass rule turns the
-ranking into a selection.  FCBF scores features by symmetrical uncertainty
+weights into a selection.  FCBF scores features by symmetrical uncertainty
 against the class over equal-frequency discretized values and prunes
 redundant features by predominant correlation.
 """
@@ -16,25 +16,6 @@ import numpy as np
 from .data import DataError, Dataset, require_two_classes
 
 _TABLE_CELLS = 1 << 20  # caps one SU block's joint counts at 8 MB
-
-
-@dataclass(frozen=True)
-class FeatureRanking:
-    """Descending-ordered (feature index, score) pairs from a filter method."""
-
-    entries: tuple[tuple[int, float], ...]
-    method: str
-
-    def __post_init__(self):
-        entries = tuple((int(j), float(s)) for j, s in self.entries)
-        if not entries:
-            raise DataError("ranking must not be empty")
-        scores = [s for _, s in entries]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise DataError("ranking scores must be non-increasing")
-        if len({j for j, _ in entries}) != len(entries):
-            raise DataError("ranking features must be unique")
-        object.__setattr__(self, "entries", entries)
 
 
 @dataclass(frozen=True)
@@ -61,8 +42,8 @@ class DiscreteDataset:
         object.__setattr__(self, "labels", labels)
 
 
-def relieff_rank(d: Dataset, k_neighbors: int = 10, seed: int = 42) -> FeatureRanking:
-    """ReliefF feature weights over all samples as anchors.
+def relieff_rank(d: Dataset, k_neighbors: int = 10, seed: int = 42) -> np.ndarray:
+    """ReliefF feature weights, one per feature, over all samples as anchors.
 
     For each anchor, the k nearest same-class and k nearest opposite-class
     neighbors by Manhattan distance adjust every feature weight by the
@@ -99,32 +80,26 @@ def relieff_rank(d: Dataset, k_neighbors: int = 10, seed: int = 42) -> FeatureRa
         weights -= diffs[hit_order].sum(axis=0) / ranges * scale
         weights += diffs[miss_order].sum(axis=0) / ranges * scale
 
-    ranked = np.lexsort((np.arange(n), -weights))
-    entries = tuple((int(j), float(weights[j])) for j in ranked)
-    return FeatureRanking(entries, method="relieff")
+    return weights
 
 
-def cumulative_fraction_select(r: FeatureRanking, fraction: float) -> tuple[int, ...]:
-    """Smallest ranking prefix whose clamped scores reach `fraction` of the total.
+def cumulative_fraction_select(weights, fraction: float) -> tuple[int, ...]:
+    """Smallest top-weighted prefix whose clamped weights reach `fraction` of the total.
 
-    Negative scores count as zero.  If every clamped score is zero the single
+    Features rank by descending weight, ties by ascending index.  Negative
+    weights count as zero.  If every clamped weight is zero the single
     top-ranked feature is returned.  Indices come back in ascending order.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
-    clamped = [max(score, 0.0) for _, score in r.entries]
-    total = sum(clamped)
+    weights = np.asarray(weights, dtype=np.float64)
+    order = np.lexsort((np.arange(weights.size), -weights))
+    cum = np.cumsum(np.maximum(weights[order], 0.0))
+    total = cum[-1]
     if total <= 0.0:
-        return (r.entries[0][0],)
-    target = fraction * total
-    chosen = []
-    cum = 0.0
-    for (j, _), mass in zip(r.entries, clamped):
-        chosen.append(j)
-        cum += mass
-        if cum >= target - 1e-12 * total:
-            break
-    return tuple(sorted(chosen))
+        return (int(order[0]),)
+    stop = int(np.argmax(cum >= fraction * total - 1e-12 * total))
+    return tuple(sorted(order[:stop + 1].tolist()))
 
 
 def discretize_equal_frequency(d: Dataset, bins: int = 10) -> DiscreteDataset:
@@ -191,21 +166,6 @@ def _su(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         denom = hx + hy
         np.divide(2.0 * (hx + hy - hxy), denom, out=su[lo:lo + w], where=denom > 0.0)
     return np.clip(su, 0.0, 1.0)
-
-
-def symmetrical_uncertainty(x, y) -> float:
-    """SU(X, Y) = 2*I(X;Y) / (H(X) + H(Y)) for two discrete columns.
-
-    Logarithms are base 2 and 0*log(0) counts as 0; degenerate columns with
-    H(X) + H(Y) = 0 score 0.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape or x.ndim != 1 or x.size == 0:
-        raise ValueError("x and y must be nonempty 1-D arrays of equal length")
-    _, xi = np.unique(x, return_inverse=True)
-    _, yi = np.unique(y, return_inverse=True)
-    return float(_su(xi[:, None], yi[:, None])[0])
 
 
 def fcbf_select(dd: DiscreteDataset, delta: float = 0.0) -> tuple[int, ...]:

@@ -108,8 +108,8 @@ def _select_features(train: Dataset, method: str, cfg: HarnessConfig) -> tuple[i
         model = mcm.train_mcm(train, C=C, variant=cfg.mcm_variant, rel_tol=cfg.mcm_rel_tol)
         return model.selected
     if method == "relieff":
-        ranking = filters.relieff_rank(train, k_neighbors=cfg.relieff_k, seed=cfg.seed)
-        return filters.cumulative_fraction_select(ranking, cfg.fraction)
+        weights = filters.relieff_rank(train, k_neighbors=cfg.relieff_k, seed=cfg.seed)
+        return filters.cumulative_fraction_select(weights, cfg.fraction)
     if method == "fcbf":
         dd = filters.discretize_equal_frequency(train, bins=cfg.fcbf_bins)
         return filters.fcbf_select(dd, delta=cfg.fcbf_delta)

@@ -132,16 +132,14 @@ def _threshold_select(weights: np.ndarray, rel_tol: float,
 
 
 def train_mcm(d: Dataset, C: float = 1.0, variant: str = VARIANT_PAPER,
-              hard_margin: bool = False, rel_tol: float = REL_TOL,
-              feas_tol: float = 1e-9, opt_tol: float = 1e-9,
-              max_iters: int = 50_000) -> McmModel:
+              hard_margin: bool = False, rel_tol: float = REL_TOL) -> McmModel:
     """Solve the training LP and package the hyperplane.
 
     Raises McmTrainingError when the LP ends anywhere but Optimal; the hard
     margin variant is Infeasible exactly when the classes cannot be separated.
     """
     lp = build_mcm_lp(d, C=C, hard_margin=hard_margin, variant=variant)
-    sol = solve_lp(lp, feas_tol=feas_tol, opt_tol=opt_tol, max_iters=max_iters)
+    sol = solve_lp(lp)
     if sol.status is not LpStatus.OPTIMAL:
         raise McmTrainingError(f"training failed: LP status {sol.status.value}",
                                status=sol.status)

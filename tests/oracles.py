@@ -3,8 +3,9 @@
 Everything here trades efficiency for obvious correctness: exhaustive vertex
 and ray enumeration for linear programs, exhaustive active-set enumeration for
 the kernel-machine dual, a literal double-loop neighbor scan for the
-relevance weights, and the per-cell, per-column and per-pair loops that the
-package's CSV loader, discretizer and FCBF replace with whole-matrix numpy.
+relevance weights, and the running-sum, per-cell, per-column and per-pair
+loops that the package's ReliefF prefix rule, CSV loader, discretizer and
+FCBF replace with whole-matrix numpy.
 None of it shares code with the package under test, except the SVM grid
 search, which checks only the search around the package's trainer.
 """
@@ -223,6 +224,25 @@ def relieff_weights_naive(X, y, k):
         for j in misses:
             W += np.abs(X[i] - X[j]) / ranges / (M * k)
     return W
+
+
+def cumulative_fraction_loop(weights, fraction):
+    """The ReliefF prefix rule: walk the features by (-weight, index), adding clamped
+    weights until they reach `fraction` of their total."""
+    entries = sorted(enumerate(weights), key=lambda e: (-e[1], e[0]))
+    clamped = [max(w, 0.0) for _, w in entries]
+    total = sum(clamped)
+    if total <= 0.0:
+        return (entries[0][0],)
+    target = fraction * total
+    chosen = []
+    cum = 0.0
+    for (j, _), mass in zip(entries, clamped):
+        chosen.append(j)
+        cum += mass
+        if cum >= target - 1e-12 * total:
+            break
+    return tuple(sorted(chosen))
 
 
 def load_csv_cellwise(path, label_column="label"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from mcmfs.data import Dataset
+from mcmfs.filters import _su
 from mcmfs.linprog import EQ, GE, LE, LinearProgram
 
 
@@ -12,8 +13,13 @@ def make_dataset(X, y, prefix="f") -> Dataset:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     names = tuple(f"{prefix}{j}" for j in range(1, X.shape[1] + 1))
-    ids = tuple(f"s{i}" for i in range(1, X.shape[0] + 1))
-    return Dataset(X, y, names, ids)
+    return Dataset(X, y, names)
+
+
+def su(x, y) -> float:
+    """Symmetrical uncertainty of two 1-D columns of discrete values, through `filters._su`."""
+    codes = [np.unique(v, return_inverse=True)[1].reshape(-1, 1) for v in (x, y)]
+    return float(_su(*codes)[0])
 
 
 def make_benchmark_dataset(m=100, n=200, informative=5, min_vote=3,

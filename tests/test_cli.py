@@ -125,7 +125,7 @@ class TestTrainPredict:
                      "--out", str(labels)]) == 0
         got = [line.split("\t") for line in labels.read_text().splitlines()]
         d = separable()
-        assert [sid for sid, _ in got] == list(d.sample_ids)
+        assert [sid for sid, _ in got] == [f"s{i}" for i in range(1, d.n_samples + 1)]
         assert [int(v) for _, v in got] == d.labels.tolist()
 
     def test_svm_round_trip_with_feature_file(self, csv_path, tmp_path):
@@ -141,6 +141,19 @@ class TestTrainPredict:
                      "--out", str(labels)]) == 0
         got = [int(line.split("\t")[1]) for line in labels.read_text().splitlines()]
         assert got == separable().labels.tolist()
+
+    def test_predict_numbers_data_rows_skipping_blank_lines(self, csv_path, tmp_path):
+        model = tmp_path / "m.txt"
+        assert main(["train", "--input", csv_path, "--out", str(model)]) == 0
+        header, *rows = open(csv_path, encoding="utf-8").read().splitlines()
+        gappy = tmp_path / "gappy.csv"
+        gappy.write_text("\n\n".join([header] + rows[::-1]) + "\n\n")
+        labels = tmp_path / "labels.txt"
+        assert main(["predict", "--input", str(gappy), "--model", str(model),
+                     "--out", str(labels)]) == 0
+        got = [line.split("\t") for line in labels.read_text().splitlines()]
+        assert [sid for sid, _ in got] == [f"s{i}" for i in range(1, len(rows) + 1)]
+        assert [int(v) for _, v in got] == separable().labels.tolist()[::-1]
 
     @pytest.mark.parametrize("flag,value", [("--svm-C", "nan"), ("--svm-C", "inf"),
                                             ("--svm-gamma", "nan")])

@@ -1,3 +1,4 @@
+import io
 import re
 import warnings
 
@@ -129,6 +130,31 @@ class TestCsvLoading:
         assert got[0].shape == (72, 7129)
         assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
 
+    @pytest.mark.parametrize("tail,plain", [(b"\ny", True), (b"y", False), (b"", False)])
+    def test_carriage_return_ending_a_scanned_chunk(self, tail, plain):
+        # The plain-file scan reads 64 KB chunks: a CR that ends one chunk is
+        # plain only if an LF starts the next.
+        data = b"x" * ((1 << 16) - 1) + b"\r" + tail
+        assert mcmfs.data._is_plain(io.BytesIO(data)) is plain
+
+    def test_wide_file_quoted_on_its_last_line_skips_numpy(self, tmp_path, monkeypatch):
+        # The quote is found before any parsing, so the file goes to the csv
+        # module at once instead of through numpy up to its last line first.
+        rng = np.random.default_rng(1)
+        lines = [",".join([f"g{j}" for j in range(1, 7130)] + ["label"])]
+        for row, label in zip(rng.normal(size=(72, 7129)), rng.choice(["ALL", "AML"], 72)):
+            lines.append(",".join([format(v, ".12g") for v in row] + [str(label)]))
+        lines[-1] = lines[-1][:-3] + f'"{lines[-1][-3:]}"'
+        path = write(tmp_path, "wide.csv", "\n".join(lines) + "\n")
+        want = _load_oracle(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt was called")
+
+        monkeypatch.setattr(mcmfs.data.np, "loadtxt", refuse)
+        got = _load_package(path)
+        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+
 
 # Cells the per-cell reader accepts or rejects in every way that matters:
 # padding, signs, exponents, underscores, non-ASCII digits, overflow to inf,
@@ -198,8 +224,7 @@ def _load_package(path):
 def _load_oracle(path):
     samples, raw, names = load_csv_cellwise(path)
     mapping = _canonical_label_map(raw)
-    d = Dataset(samples, [mapping[v] for v in raw], names,
-                tuple(f"s{i}" for i in range(1, len(raw) + 1)))
+    d = Dataset(samples, [mapping[v] for v in raw], names)
     return d.samples, d.labels.tolist(), d.feature_names
 
 
@@ -246,7 +271,7 @@ class TestDatasetInvariants:
 
     def test_duplicate_feature_names(self):
         with pytest.raises((DataError, ValueError)):
-            Dataset(np.ones((1, 2)), np.array([1]), ("a", "a"), ("s1",))
+            Dataset(np.ones((1, 2)), np.array([1]), ("a", "a"))
 
     def test_arrays_read_only(self):
         d = make_dataset([[1.0, 2.0]], [1])

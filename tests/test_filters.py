@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mcmfs.data import (DataError, apply_standardizer, fit_standardizer, load_dataset,
@@ -8,36 +8,27 @@ from mcmfs.data import (DataError, apply_standardizer, fit_standardizer, load_da
 from mcmfs import filters
 from mcmfs.filters import (
     DiscreteDataset,
-    FeatureRanking,
     _su,
     cumulative_fraction_select,
     discretize_equal_frequency,
     fcbf_select,
     relieff_rank,
-    symmetrical_uncertainty,
 )
-from oracles import discretize_columnwise, fcbf_pairwise, relieff_weights_naive, su_codes
-from support import make_benchmark_dataset, make_dataset, write_csv
+from oracles import (cumulative_fraction_loop, discretize_columnwise, fcbf_pairwise,
+                     relieff_weights_naive, su_codes)
+from support import make_benchmark_dataset, make_dataset, su, write_csv
 
 QUAD = make_dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1, 1, -1, -1])
 
 
-def weights_of(ranking, n):
-    w = np.empty(n)
-    for j, s in ranking.entries:
-        w[j] = s
-    return w
-
-
 class TestReliefF:
     def test_hand_example(self):
-        r = relieff_rank(QUAD, k_neighbors=1)
-        assert r.entries == ((1, 1.0), (0, -1.0))
+        assert relieff_rank(QUAD, k_neighbors=1).tolist() == [-1.0, 1.0]
 
     def test_constant_feature_scores_zero(self):
         X = np.column_stack([QUAD.samples, np.full(4, 7.0)])
         d = make_dataset(X, QUAD.labels.tolist())
-        w = weights_of(relieff_rank(d, k_neighbors=1), 3)
+        w = relieff_rank(d, k_neighbors=1)
         assert w[2] == 0.0
 
     def test_duplicated_columns_tie(self):
@@ -45,7 +36,7 @@ class TestReliefF:
         X = rng.normal(size=(12, 2))
         X = np.column_stack([X, X[:, 0]])
         d = make_dataset(X, ([1, -1] * 6))
-        w = weights_of(relieff_rank(d, k_neighbors=2), 3)
+        w = relieff_rank(d, k_neighbors=2)
         assert w[0] == pytest.approx(w[2], abs=1e-12)
 
     @pytest.mark.parametrize("seed,k", [(0, 1), (1, 3), (2, 5)])
@@ -56,14 +47,14 @@ class TestReliefF:
         X = rng.normal(size=(m, n))
         half = m // 2
         d = make_dataset(X, [1] * half + [-1] * (m - half))
-        got = weights_of(relieff_rank(d, k_neighbors=k), n)
+        got = relieff_rank(d, k_neighbors=k)
         np.testing.assert_allclose(got, relieff_weights_naive(X, d.labels, k),
                                    atol=1e-12)
 
     def test_weights_bounded(self):
         rng = np.random.default_rng(5)
         d = make_dataset(rng.normal(size=(16, 4)), [1] * 8 + [-1] * 8)
-        w = weights_of(relieff_rank(d, k_neighbors=3), 4)
+        w = relieff_rank(d, k_neighbors=3)
         assert np.all(w >= -1.0 - 1e-12) and np.all(w <= 1.0 + 1e-12)
 
     def test_small_class_rejected(self):
@@ -82,32 +73,26 @@ class TestReliefF:
 
 class TestCumulativeFractionSelect:
     def test_top_heavy_prefix(self):
-        r = FeatureRanking(((0, 0.5), (1, 0.3), (2, 0.2)), method="relieff")
-        assert cumulative_fraction_select(r, 0.4) == (0,)
+        assert cumulative_fraction_select([0.5, 0.3, 0.2], 0.4) == (0,)
 
     def test_full_fraction_takes_positive_mass(self):
-        r = FeatureRanking(((0, 0.5), (1, 0.3), (2, 0.2)), method="relieff")
-        assert cumulative_fraction_select(r, 1.0) == (0, 1, 2)
+        assert cumulative_fraction_select([0.5, 0.3, 0.2], 1.0) == (0, 1, 2)
 
     def test_single_feature(self):
-        r = FeatureRanking(((4, 0.1),), method="relieff")
-        assert cumulative_fraction_select(r, 0.01) == (4,)
-        assert cumulative_fraction_select(r, 1.0) == (4,)
+        assert cumulative_fraction_select([0.1], 0.01) == (0,)
+        assert cumulative_fraction_select([0.1], 1.0) == (0,)
 
     def test_negative_scores_clamped(self):
-        r = FeatureRanking(((0, 0.5), (2, 0.5), (1, -0.2)), method="relieff")
-        assert cumulative_fraction_select(r, 0.4) == (0,)
+        assert cumulative_fraction_select([0.5, -0.2, 0.5], 0.4) == (0,)
 
     def test_zero_total_returns_top_one(self):
-        r = FeatureRanking(((3, -0.1), (0, -0.2)), method="relieff")
-        assert cumulative_fraction_select(r, 0.4) == (3,)
+        assert cumulative_fraction_select([-0.2, -0.3, -0.4, -0.1], 0.4) == (3,)
 
     def test_fraction_out_of_range(self):
-        r = FeatureRanking(((0, 1.0),), method="relieff")
         with pytest.raises(ValueError):
-            cumulative_fraction_select(r, 0.0)
+            cumulative_fraction_select([1.0], 0.0)
         with pytest.raises(ValueError):
-            cumulative_fraction_select(r, 1.5)
+            cumulative_fraction_select([1.0], 1.5)
 
     @given(
         st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=10),
@@ -115,11 +100,22 @@ class TestCumulativeFractionSelect:
         st.floats(0.01, 1.0),
     )
     def test_monotone_in_fraction(self, scores, f_a, f_b):
-        order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
-        r = FeatureRanking(tuple((j, scores[j]) for j in order), method="relieff")
         lo, hi = sorted((f_a, f_b))
-        assert set(cumulative_fraction_select(r, lo)) <= set(
-            cumulative_fraction_select(r, hi))
+        assert set(cumulative_fraction_select(scores, lo)) <= set(
+            cumulative_fraction_select(scores, hi))
+
+    @given(
+        st.lists(st.one_of(st.sampled_from([-0.25, 0.0, 0.125, 0.5]),
+                           st.floats(-1.0, 1.0, allow_nan=False)),
+                 min_size=1, max_size=40),
+        st.floats(0.01, 1.0),
+    )
+    @example([0.3], 0.5)
+    @example([-0.5, 0.0, -0.0, -0.1], 0.4)
+    @example([0.5, 0.5, 0.25, -0.5, 0.25], 0.75)
+    def test_matches_the_prefix_loop(self, weights, fraction):
+        assert cumulative_fraction_select(np.array(weights), fraction) == \
+            cumulative_fraction_loop(weights, fraction)
 
 
 class TestDiscretize:
@@ -159,27 +155,27 @@ class TestDiscretize:
 class TestSymmetricalUncertainty:
     def test_identical_columns(self):
         x = np.array([0, 1, 0, 1, 1])
-        assert symmetrical_uncertainty(x, x) == pytest.approx(1.0)
+        assert su(x, x) == pytest.approx(1.0)
 
     def test_independent_columns(self):
         x = np.array([0, 0, 1, 1])
         y = np.array([0, 1, 0, 1])
-        assert symmetrical_uncertainty(x, y) == pytest.approx(0.0, abs=1e-12)
+        assert su(x, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_reference_contingency(self):
         x = np.array([0, 0, 0, 1, 1, 1])
         y = np.array([0, 0, 1, 0, 1, 1])
-        assert symmetrical_uncertainty(x, y) == pytest.approx(0.0817041659, abs=1e-9)
+        assert su(x, y) == pytest.approx(0.0817041659, abs=1e-9)
 
     def test_zero_entropy_input(self):
         const = np.zeros(4, dtype=int)
         varying = np.array([0, 1, 0, 1])
-        assert symmetrical_uncertainty(const, const) == 0.0
-        assert symmetrical_uncertainty(const, varying) == 0.0
+        assert su(const, const) == 0.0
+        assert su(const, varying) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            symmetrical_uncertainty(np.array([0, 1]), np.array([0, 1, 0]))
+            su(np.array([0, 1]), np.array([0, 1, 0]))
 
     @given(st.integers(0, 10_000))
     def test_symmetric_and_bounded(self, seed):
@@ -187,8 +183,8 @@ class TestSymmetricalUncertainty:
         m = int(rng.integers(2, 30))
         x = rng.integers(0, 4, size=m)
         y = rng.integers(0, 3, size=m)
-        a = symmetrical_uncertainty(x, y)
-        b = symmetrical_uncertainty(y, x)
+        a = su(x, y)
+        b = su(y, x)
         assert abs(a - b) <= 1e-12
         assert -1e-12 <= a <= 1.0 + 1e-12
 
@@ -287,20 +283,10 @@ class TestVectorizedMatchesLoops:
             assert first_against[j] == su_codes(X[:, j], X[:, 0])
             _, xi = np.unique(X[:, j], return_inverse=True)
             _, yi = np.unique(X[:, 0], return_inverse=True)
-            assert symmetrical_uncertainty(X[:, j], X[:, 0]) == su_codes(xi, yi)
+            assert su(X[:, j], X[:, 0]) == su_codes(xi, yi)
 
     def test_su_counted_in_blocks_matches_one_block(self, monkeypatch):
         X = random_codes(np.random.default_rng(3))
         whole = _su(X[:, [0]], X)
         monkeypatch.setattr(filters, "_TABLE_CELLS", 1)
         assert np.array_equal(_su(X[:, [0]], X), whole)
-
-
-class TestFeatureRanking:
-    def test_ranking_validation(self):
-        with pytest.raises(DataError):
-            FeatureRanking((), method="relieff")
-        with pytest.raises(DataError):
-            FeatureRanking(((0, 0.1), (1, 0.9)), method="relieff")
-        with pytest.raises(DataError):
-            FeatureRanking(((0, 0.5), (0, 0.4)), method="relieff")

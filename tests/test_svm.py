@@ -224,12 +224,12 @@ SUBGRIDS = ((2.0 ** -5, 2.0 ** 5, 2.0 ** 15), (2.0 ** -15, 2.0 ** -7, 2.0 ** 1))
 
 
 def record_training(monkeypatch):
-    """Replace svm.train_svm with a wrapper that logs (split ids, C, gamma, outcome)."""
+    """Replace svm.train_svm with a wrapper that logs (split rows, C, gamma, outcome)."""
     calls = []
     train = svm.train_svm
 
     def wrapper(d, feature_subset, C, kernel_gamma):
-        key = (d.sample_ids, C, kernel_gamma)
+        key = (d.samples.tobytes(), C, kernel_gamma)
         try:
             model = train(d, feature_subset, C, kernel_gamma)
         except SvmTrainingError:
@@ -303,10 +303,10 @@ class TestGridReuse:
         assert grid_search(d, subset) == expected
         assert len(calls) < len(svm.DEFAULT_C_GRID) * len(svm.DEFAULT_GAMMA_GRID) * 5
         first_exact = {}
-        for ids, C, gamma, outcome in calls:
-            assert (ids, gamma) not in first_exact, "a reusable cell was trained again"
+        for split, C, gamma, outcome in calls:
+            assert (split, gamma) not in first_exact, "a reusable cell was trained again"
             if outcome is True:
-                first_exact[ids, gamma] = C
+                first_exact[split, gamma] = C
         assert first_exact
 
     def test_failed_cells_score_zero_and_are_trained_again(self, monkeypatch):
@@ -318,10 +318,10 @@ class TestGridReuse:
         assert grid_search(d, subset, folds=3) == expected
         Cs = sorted(svm.DEFAULT_C_GRID)
         first_split = calls[0][0]
-        failed = [(C, gamma) for ids, C, gamma, outcome in calls
-                  if ids == first_split and outcome == "failed" and C < Cs[-1]]
+        failed = [(C, gamma) for split, C, gamma, outcome in calls
+                  if split == first_split and outcome == "failed" and C < Cs[-1]]
         assert failed
-        trained = {(C, gamma) for ids, C, gamma, _ in calls if ids == first_split}
+        trained = {(C, gamma) for split, C, gamma, _ in calls if split == first_split}
         for C, gamma in failed:
             assert (Cs[Cs.index(C) + 1], gamma) in trained
 
