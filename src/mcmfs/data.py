@@ -170,7 +170,7 @@ _STRAY_CR = re.compile(b"\r(?!\n)")
 
 
 def _is_plain(fh) -> bool:
-    """Whether the binary file `fh` holds none of the bytes that make a file not plain.
+    """True unless the binary file `fh` holds a `_NOT_PLAIN` byte or a CR outside CRLF.
 
     It is read in 64 KB chunks, so that deciding holds no copy of the file.
     """
