@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,12 +145,8 @@ def _parse_row(cells: list[str], where: str) -> np.ndarray:
 
 
 def _load_csv(path, label_column: str) -> Dataset:
-    with open(path, "rb") as fh:
-        plain = _is_plain(fh)
-    parsed = None
-    if plain:
-        with open(path, newline="\n", encoding="utf-8-sig") as fh:
-            parsed = _read_plain_csv(fh, label_column)
+    with open(path, newline="\n", encoding="utf-8-sig") as fh:
+        parsed = _read_plain_csv(fh, label_column)
     if parsed is None:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -162,36 +157,19 @@ def _load_csv(path, label_column: str) -> Dataset:
     return _labeled(*parsed)
 
 
-# Not plain: a quote, NUL or carriage return outside CRLF, which the csv module
-# treats specially, and U+001C..U+001F, which numpy strips around a number but
-# `float` rejects.  No byte of a multi-byte UTF-8 character is one of these.
-_NOT_PLAIN = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-_STRAY_CR = re.compile(b"\r(?!\n)")
-
-
-def _is_plain(fh) -> bool:
-    """True unless the binary file `fh` holds a `_NOT_PLAIN` byte or a CR outside CRLF.
-
-    It is read in 64 KB chunks, so that deciding holds no copy of the file.
-    """
-    while chunk := fh.read(1 << 16):
-        if chunk.endswith(b"\r"):
-            chunk += fh.read(1)
-        if any(c in chunk for c in _NOT_PLAIN) or b"\r" in chunk and _STRAY_CR.search(chunk):
-            return False
-    return True
+# Not plain: a quote, stray carriage return or NUL, which the csv module treats
+# specially, and U+001C..U+001F, which numpy strips around a number but `float` rejects.
+_NOT_PLAIN = ('"', "\r", "\0", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _plain_lines(fh):
-    """The non-empty lines of a plain `fh` without their endings.
-
-    ValueError at a line holding a field longer than the csv module accepts.
-    """
+    """The non-empty lines of `fh` without their endings; ValueError at one that is not plain."""
     limit = csv.field_size_limit()
     for line in fh:
         line = line.removesuffix("\n").removesuffix("\r")
-        if len(line) > limit and max(map(len, line.split(","))) > limit:
-            raise ValueError("field larger than the csv limit")
+        if any(c in line for c in _NOT_PLAIN) or (
+                len(line) > limit and max(map(len, line.split(","))) > limit):
+            raise ValueError("not a plain line")
         if line:
             yield line
 
@@ -199,9 +177,9 @@ def _plain_lines(fh):
 def _read_plain_csv(fh, label_column: str):
     """`_read_csv`'s result for a plain file, streamed through numpy's C parser.
 
-    Any doubt (a cell numpy rejects, anything `_read_csv` rejects) gives None
-    instead, for `_read_csv` to name the line.  numpy accepts no cell `float`
-    rejects and reads the others to the same double.
+    Any doubt (a line that is not plain, a cell numpy rejects, anything
+    `_read_csv` rejects) gives None instead, for `_read_csv` to name the line.
+    numpy accepts no cell `float` rejects and reads the others to the same double.
     """
     raw_labels = []
     try:

@@ -87,8 +87,10 @@ def cumulative_fraction_select(weights, fraction: float) -> tuple[int, ...]:
     """Smallest top-weighted prefix whose clamped weights reach `fraction` of the total.
 
     Features rank by descending weight, ties by ascending index.  Negative
-    weights count as zero.  If every clamped weight is zero the single
-    top-ranked feature is returned.  Indices come back in ascending order.
+    weights count as zero, and the running sums and the total are added left
+    to right in rank order, without compensation.  If every clamped weight is
+    zero the single top-ranked feature is returned.  Indices come back in
+    ascending order.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")

@@ -228,10 +228,16 @@ def relieff_weights_naive(X, y, k):
 
 def cumulative_fraction_loop(weights, fraction):
     """The ReliefF prefix rule: walk the features by (-weight, index), adding clamped
-    weights until they reach `fraction` of their total."""
+    weights until they reach `fraction` of their total.
+
+    The total is added left to right in that order, as `np.cumsum` does; the
+    builtin `sum` compensates its rounding from Python 3.12 on.
+    """
     entries = sorted(enumerate(weights), key=lambda e: (-e[1], e[0]))
     clamped = [max(w, 0.0) for _, w in entries]
-    total = sum(clamped)
+    total = 0.0
+    for mass in clamped:
+        total += mass
     if total <= 0.0:
         return (entries[0][0],)
     target = fraction * total

@@ -1,4 +1,3 @@
-import io
 import re
 import warnings
 
@@ -128,31 +127,6 @@ class TestCsvLoading:
         monkeypatch.setattr(mcmfs.data.csv, "reader", refuse)
         got = _load_package(path)
         assert got[0].shape == (72, 7129)
-        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
-
-    @pytest.mark.parametrize("tail,plain", [(b"\ny", True), (b"y", False), (b"", False)])
-    def test_carriage_return_ending_a_scanned_chunk(self, tail, plain):
-        # The plain-file scan reads 64 KB chunks: a CR that ends one chunk is
-        # plain only if an LF starts the next.
-        data = b"x" * ((1 << 16) - 1) + b"\r" + tail
-        assert mcmfs.data._is_plain(io.BytesIO(data)) is plain
-
-    def test_wide_file_quoted_on_its_last_line_skips_numpy(self, tmp_path, monkeypatch):
-        # The quote is found before any parsing, so the file goes to the csv
-        # module at once instead of through numpy up to its last line first.
-        rng = np.random.default_rng(1)
-        lines = [",".join([f"g{j}" for j in range(1, 7130)] + ["label"])]
-        for row, label in zip(rng.normal(size=(72, 7129)), rng.choice(["ALL", "AML"], 72)):
-            lines.append(",".join([format(v, ".12g") for v in row] + [str(label)]))
-        lines[-1] = lines[-1][:-3] + f'"{lines[-1][-3:]}"'
-        path = write(tmp_path, "wide.csv", "\n".join(lines) + "\n")
-        want = _load_oracle(path)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.loadtxt was called")
-
-        monkeypatch.setattr(mcmfs.data.np, "loadtxt", refuse)
-        got = _load_package(path)
         assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
 
 
