@@ -109,13 +109,29 @@ def load_dataset(path, fmt: str = "csv", label_column: str = "label") -> Dataset
 
     `csv`: header row names the columns, one column (default "label") holds
     the class.  `sparse`: one sample per line, "label idx:val idx:val ..."
-    with 1-based ascending indices; absent entries are zero.
+    with 1-based ascending indices; absent entries are zero.  A file that is
+    not UTF-8 raises a DataError naming the line and byte offset at fault.
     """
-    if fmt == "csv":
-        return _load_csv(path, label_column)
-    if fmt == "sparse":
-        return _load_sparse(path)
-    raise ValueError(f"unknown dataset format: {fmt!r}")
+    if fmt not in ("csv", "sparse"):
+        raise ValueError(f"unknown dataset format: {fmt!r}")
+    try:
+        return _load_csv(path, label_column) if fmt == "csv" else _load_sparse(path)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> DataError:
+    """Locate the bad byte in the file; `exc` counts from the start of a decoder chunk."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        at = whole.start
+        line = raw.count(b"\n", 0, at) + 1
+        return DataError(f"line {line}: byte {at} is not valid UTF-8 "
+                         f"({whole.reason} 0x{raw[at]:02x})")
+    return DataError(f"not valid UTF-8: {exc}")
 
 
 def _parse_value(cell: str, where: str) -> float:

@@ -93,17 +93,48 @@ class LpSolution:
 
 
 class _SimplexState:
-    """Mutable basis bookkeeping: A, b, current basis, its inverse, basic values."""
+    """Mutable basis bookkeeping: columns, b, current basis, its inverse, basic values.
 
-    def __init__(self, A, b, basis):
-        self.A = A
+    S stores the LP's variables, then slacks, then artificials.  The standard
+    form splits each free x_j into x_j+ - x_j-: column at + k is the negated
+    copy -S[:, free_idx[k]], gathered when needed and priced from its partner,
+    and the stored columns from `at` on follow the copies.
+    """
+
+    def __init__(self, S, b, basis, at, free_idx):
+        self.S = S
         self.b = b
+        self.at = at
+        self.free_idx = free_idx
+        self.src = np.concatenate([np.arange(at), free_idx, np.arange(at, S.shape[1])])
         self.basis = np.array(basis, dtype=np.int64)
         self.refactor()
 
+    @property
+    def n_cols(self) -> int:
+        return self.src.size
+
+    def _negated(self, j):
+        return (j >= self.at) & (j < self.at + self.free_idx.size)
+
+    def columns(self, js):
+        """Standard-form columns js, as an (R, len(js)) matrix."""
+        cols = self.S[:, self.src[js]]
+        cols[:, self._negated(js)] *= -1.0
+        return cols
+
+    def column(self, j):
+        col = self.S[:, self.src[j]]
+        return -col if self._negated(j) else col
+
+    def products(self, y):
+        """y @ A over every standard-form column; a negated copy's is its partner's, negated."""
+        p = y @ self.S
+        return np.concatenate([p[:self.at], -p[self.free_idx], p[self.at:]])
+
     def refactor(self):
         try:
-            self.Binv = np.linalg.inv(self.A[:, self.basis])
+            self.Binv = np.linalg.inv(self.columns(self.basis))
         except np.linalg.LinAlgError:
             raise ArithmeticError("singular basis matrix") from None
         self.xB = self.Binv @ self.b
@@ -120,13 +151,12 @@ class _SimplexState:
 
 def _iterate(state: _SimplexState, c, opt_tol, feas_tol, budget):
     """Run simplex pivots until optimal/unbounded or the pivot budget is spent."""
-    A = state.A
     pivots = 0
     degen_streak = 0
     bland = False
     while True:
         y = c[state.basis] @ state.Binv
-        reduced = c - y @ A
+        reduced = c - state.products(y)
         reduced[state.basis] = 0.0
         if bland:
             negs = np.flatnonzero(reduced < -opt_tol)
@@ -139,7 +169,7 @@ def _iterate(state: _SimplexState, c, opt_tol, feas_tol, budget):
                 return _OPT, pivots
         if pivots >= budget:
             return _ITER, pivots
-        u = state.Binv @ A[:, j]
+        u = state.Binv @ state.column(j)
         positive = u > _PIVOT_TOL
         if not positive.any():
             return _UNBOUNDED, pivots
@@ -167,25 +197,31 @@ def _iterate(state: _SimplexState, c, opt_tol, feas_tol, budget):
 
 
 def _drive_out_artificials(state: _SimplexState, n_real: int) -> _SimplexState:
-    """Pivot zero-level artificials out of the basis; drop rows that prove redundant."""
-    m = state.A.shape[0]
+    """Pivot zero-level artificials out of the basis; drop rows that prove redundant.
+
+    The returned state stores the columns of S before the artificials, a view
+    of S itself when no row is dropped.
+    """
+    m = state.S.shape[0]
     redundant = []
     basic = set(int(v) for v in state.basis)
     for r in range(m):
         if state.basis[r] < n_real:
             continue
-        row = state.Binv[r] @ state.A[:, :n_real]
+        row = state.products(state.Binv[r])[:n_real]
         candidates = [j for j in np.flatnonzero(np.abs(row) > 1e-8) if j not in basic]
         if not candidates:
             redundant.append(r)
             continue
         j = max(candidates, key=lambda t: abs(row[t]))
-        u = state.Binv @ state.A[:, j]
+        u = state.Binv @ state.column(j)
         basic.discard(int(state.basis[r]))
         basic.add(int(j))
         state.pivot(r, j, u, state.xB[r] / u[r])
+    n_stored = n_real - state.free_idx.size
     keep = [r for r in range(m) if r not in set(redundant)]
-    return _SimplexState(state.A[keep][:, :n_real], state.b[keep], state.basis[keep])
+    S = state.S[:, :n_stored] if not redundant else state.S[keep][:, :n_stored]
+    return _SimplexState(S, state.b[keep], state.basis[keep], state.at, state.free_idx)
 
 
 def solve_lp(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9,
@@ -206,43 +242,35 @@ def solve_lp(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9,
     ineq_rows = [i for i in range(R) if lp.rel[i] != EQ]
     n_struct = V + n_free
     n_real = n_struct + len(ineq_rows)
-
-    A = np.zeros((R, n_real))
-    A[:, :V] = lp.A
-    if n_free:
-        A[:, V:n_struct] = -lp.A[:, free_idx]
-    slack_col = {}
-    for k, i in enumerate(ineq_rows):
-        col = n_struct + k
-        slack_col[i] = col
-        A[i, col] = 1.0 if lp.rel[i] == LE else -1.0
+    n_stored = n_real - n_free
     b = lp.b.copy()
     flipped = b < 0
-    A[flipped] *= -1.0
-    b[flipped] *= -1.0
+    # Rows without a slack that is basic at b >= 0 start on an artificial.
+    art_rows = [i for i in range(R) if lp.rel[i] == EQ or (lp.rel[i] == LE) == flipped[i]]
 
-    c_real = np.concatenate([lp.c, -lp.c[free_idx], np.zeros(len(ineq_rows))])
-
+    S = np.zeros((R, n_stored + len(art_rows)))
+    S[:, :V] = lp.A
     basis = np.empty(R, dtype=np.int64)
-    art_rows = []
-    for i in range(R):
-        col = slack_col.get(i)
-        if col is not None and A[i, col] > 0:
-            basis[i] = col
-        else:
-            art_rows.append(i)
-    if art_rows:
-        art_block = np.zeros((R, len(art_rows)))
-        for k, i in enumerate(art_rows):
-            art_block[i, k] = 1.0
-            basis[i] = n_real + k
-        A = np.hstack([A, art_block])
+    for k, i in enumerate(ineq_rows):
+        S[i, V + k] = 1.0 if lp.rel[i] == LE else -1.0
+        basis[i] = n_struct + k
+    S[flipped, :n_stored] *= -1.0
+    b[flipped] *= -1.0
+    for k, i in enumerate(art_rows):
+        S[i, n_stored + k] = 1.0
+        basis[i] = n_real + k
+
+    # The negated copies follow the last free variable, so an LP whose free
+    # variables are consecutive keeps the column order, and so the pivots, of
+    # the same LP split by hand with the negative parts after the positive ones.
+    at = int(free_idx[-1]) + 1 if n_free else V
+    c_real = np.concatenate([lp.c[:at], -lp.c[free_idx], lp.c[at:], np.zeros(len(ineq_rows))])
 
     pivots_used = 0
-    state = _SimplexState(A, b, basis)
+    state = _SimplexState(S, b, basis, at, free_idx)
 
     if art_rows:
-        c_phase1 = np.zeros(A.shape[1])
+        c_phase1 = np.zeros(state.n_cols)
         c_phase1[n_real:] = 1.0
         code, pivots = _iterate(state, c_phase1, opt_tol, feas_tol, max_iters)
         pivots_used += pivots
@@ -262,16 +290,15 @@ def solve_lp(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9,
     if code == _UNBOUNDED:
         return LpSolution(LpStatus.UNBOUNDED, None, float("nan"), pivots_used)
 
-    x_std = np.zeros(state.A.shape[1])
+    x_std = np.zeros(state.n_cols)
     x_std[state.basis] = np.where(np.abs(state.xB) < feas_tol, np.maximum(state.xB, 0.0), state.xB)
-    x = x_std[:V].copy()
-    if n_free:
-        x[free_idx] -= x_std[V:n_struct]
+    x = x_std[np.r_[0:at, at + n_free:n_struct]]
+    x[free_idx] -= x_std[at:at + n_free]
     objective = float(lp.c @ x)
 
     # Row prices for the original rows; sign-normalized rows flip back.  Rows
     # dropped as redundant during drive-out lose their price, so skip duals then.
-    if state.A.shape[0] == R:
+    if state.S.shape[0] == R:
         y = c_real[state.basis] @ state.Binv
         duals = np.where(flipped, -y, y)
         duals.setflags(write=False)

@@ -1,9 +1,9 @@
 """Sparse linear classifier trained by minimizing a capacity bound through an LP.
 
 The trainer minimizes h + C*sum(q) where h caps every signed margin from
-above, the margins stay >= 1 up to slack, and the weight vector is split into
-nonnegative parts so the whole problem is a linear program.  Features whose
-trained weight magnitude clears a relative threshold form the selected set.
+above, the margins stay >= 1 up to slack, and the weights are free variables
+of the linear program.  Features whose trained weight magnitude
+clears a relative threshold form the selected set.
 """
 
 from __future__ import annotations
@@ -73,14 +73,16 @@ class McmModel:
 
 def build_mcm_lp(d: Dataset, C: float = 1.0, hard_margin: bool = False,
                  variant: str = VARIANT_PAPER) -> LinearProgram:
-    """Assemble the training LP over variables (h, w+, w-, b+, b-, q).
+    """Assemble the training LP over variables (h, w, b+, b-, q), with w free.
 
     Soft margin: minimize h + C*sum(q) subject to, per sample i with margin
     u_i = y_i*(w.x_i + b),
         capacity rows:  u_i + q_i <= h   ("paper" variant; "classic" drops q_i)
         margin rows:    u_i + q_i >= 1
-    Hard margin drops q entirely and minimizes h alone.  All variables are
-    nonnegative; w and b are free through their split parts.
+    Hard margin drops q entirely and minimizes h alone.  `solve_lp` splits
+    the free w into nonnegative parts and places their negated columns after
+    w, so the standard form's columns run h, w+, w-, b+, b-, q: b is split
+    here to keep that order, which Bland's rule and the pivot ties follow.
     """
     require_two_classes(d)
     if variant not in _VARIANTS:
@@ -91,34 +93,29 @@ def build_mcm_lp(d: Dataset, C: float = 1.0, hard_margin: bool = False,
     X = d.samples
     y = d.labels.astype(np.float64)
     M, n = X.shape
-    n_vars = 2 * n + 3 + (0 if hard_margin else M)
-    yX = y[:, None] * X
+    n_vars = n + 3 + (0 if hard_margin else M)
 
-    cap = np.zeros((M, n_vars))
-    cap[:, 0] = -1.0
-    cap[:, 1:n + 1] = yX
-    cap[:, n + 1:2 * n + 1] = -yX
-    cap[:, 2 * n + 1] = y
-    cap[:, 2 * n + 2] = -y
-    margin = cap.copy()
-    margin[:, 0] = 0.0
+    # One (capacity, margin) row pair per sample.
+    A = np.zeros((M, 2, n_vars))
+    A[:, :, 1:n + 1] = (y[:, None] * X)[:, None, :]
+    A[:, :, n + 1] = y[:, None]
+    A[:, :, n + 2] = -y[:, None]
+    A[:, 0, 0] = -1.0
     if not hard_margin:
-        qcols = 2 * n + 3 + np.arange(M)
-        margin[np.arange(M), qcols] = 1.0
+        rows, qcols = np.arange(M), n + 3 + np.arange(M)
+        A[rows, 1, qcols] = 1.0
         if variant == VARIANT_PAPER:
-            cap[np.arange(M), qcols] = 1.0
-
-    A = np.empty((2 * M, n_vars))
-    A[0::2] = cap
-    A[1::2] = margin
+            A[rows, 0, qcols] = 1.0
     rel = (LE, GE) * M
     b = np.zeros(2 * M)
     b[1::2] = 1.0
     c = np.zeros(n_vars)
     c[0] = 1.0
     if not hard_margin:
-        c[2 * n + 3:] = C
-    return LinearProgram(c, A, rel, b, np.zeros(n_vars, dtype=bool))
+        c[n + 3:] = C
+    free = np.zeros(n_vars, dtype=bool)
+    free[1:n + 1] = True
+    return LinearProgram(c, A.reshape(2 * M, n_vars), rel, b, free)
 
 
 def _threshold_select(weights: np.ndarray, rel_tol: float,
@@ -146,9 +143,9 @@ def train_mcm(d: Dataset, C: float = 1.0, variant: str = VARIANT_PAPER,
     n, M = d.n_features, d.n_samples
     x = sol.x
     capacity = float(x[0])
-    weights = x[1:n + 1] - x[n + 1:2 * n + 1]
-    bias = float(x[2 * n + 1] - x[2 * n + 2])
-    slacks = np.zeros(M) if hard_margin else x[2 * n + 3:].copy()
+    weights = x[1:n + 1]
+    bias = float(x[n + 1] - x[n + 2])
+    slacks = np.zeros(M) if hard_margin else x[n + 3:].copy()
     selected, threshold = _threshold_select(weights, rel_tol)
     return McmModel(
         weights=weights,

@@ -96,6 +96,25 @@ class TestSelect:
         assert code == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt,header,row", [
+        ("csv", "f1,f2,label\n", "{k}.5,{j}.25,{c}\n"),
+        ("sparse", "", "{c}1 1:{k}.5 2:{j}.25\n"),
+    ])
+    def test_non_utf8_byte_is_located_in_the_file(self, fmt, header, row, tmp_path, capsys):
+        # past the decoder's first chunk, whose offsets restart at 0
+        data = bytearray(header.encode())
+        for k in range(2000):
+            data += row.format(k=k, j=k % 7, c="+-"[k % 2]).encode()
+        data[20_000] = 0xFF
+        path = tmp_path / f"bad.{fmt}"
+        path.write_bytes(bytes(data))
+        code = main(["select", "--input", str(path), "--format", fmt, "--method", "fcbf",
+                     "--out", str(tmp_path / "o.txt")])
+        line = data.count(b"\n", 0, 20_000) + 1
+        assert code == 2
+        assert capsys.readouterr().err == (f"input error: line {line}: byte 20000 is not valid "
+                                           "UTF-8 (invalid start byte 0xff)\n")
+
     def test_solver_fault_is_training_error(self, csv_path, tmp_path, capsys, monkeypatch):
         def singular(*args, **kwargs):
             raise ArithmeticError("singular basis matrix")

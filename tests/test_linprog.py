@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mcmfs.linprog import (
     EQ,
@@ -150,3 +152,62 @@ class TestRandomAgainstEnumeration:
             statuses.add(status)
             checked += 1
         assert "Optimal" in statuses and len(statuses) >= 2
+
+
+@st.composite
+def lps_with_free_variables(draw):
+    """Small integer LPs with free variables; some columns repeat or negate another."""
+    V = draw(st.integers(1, 4))
+    R = draw(st.integers(1, 4))
+    ints = st.integers(-3, 3)
+    A = np.array(draw(st.lists(st.lists(ints, min_size=V, max_size=V), min_size=R,
+                               max_size=R)), dtype=np.float64)
+    c = np.array(draw(st.lists(ints, min_size=V, max_size=V)), dtype=np.float64)
+    free = draw(st.lists(st.booleans(), min_size=V, max_size=V))
+    for src, sign in draw(st.lists(st.tuples(st.integers(0, V - 1), st.sampled_from([1.0, -1.0])),
+                                   max_size=3)):
+        A = np.hstack([A, sign * A[:, [src]]])
+        c = np.append(c, sign * c[src])
+        free.append(draw(st.booleans()))
+    b = draw(st.lists(ints, min_size=R, max_size=R))
+    rel = tuple(draw(st.lists(st.sampled_from([LE, GE, EQ]), min_size=R, max_size=R)))
+    return LinearProgram(c, A, rel, b, free)
+
+
+def split_by_hand(lp, at=None):
+    """The same LP with each free x_j replaced by x_j+ - x_j-, both nonnegative.
+
+    The x_j- columns go before column `at`, by default after every variable.
+    """
+    free = np.flatnonzero(lp.lower_free)
+    at = lp.n_vars if at is None else at
+    c = np.concatenate([lp.c[:at], -lp.c[free], lp.c[at:]])
+    A = np.hstack([lp.A[:, :at], -lp.A[:, free], lp.A[:, at:]])
+    return LinearProgram(c, A, lp.rel, lp.b, np.zeros(c.shape[0], dtype=bool))
+
+
+class TestFreeColumnsStoredOnce:
+    @given(lps_with_free_variables())
+    def test_matches_the_lp_split_by_hand(self, lp):
+        sol, ref = solve_lp(lp), solve_lp(split_by_hand(lp))
+        assert sol.status is ref.status, dump_lp(lp)
+        if sol.status is LpStatus.OPTIMAL:
+            assert abs(sol.objective_value - ref.objective_value) <= 1e-9, dump_lp(lp)
+            assert sol.objective_value == pytest.approx(float(lp.c @ sol.x), abs=1e-9)
+
+    @given(lps_with_free_variables(), st.data())
+    def test_consecutive_free_run_pivots_like_the_lp_split_by_hand(self, lp, data):
+        # With free variables lo..hi-1 only, the standard form is the LP split by
+        # hand with the x- columns at hi: the same pivots, bit for bit.
+        lo = data.draw(st.integers(0, lp.n_vars - 1))
+        hi = data.draw(st.integers(lo + 1, lp.n_vars))
+        free = np.zeros(lp.n_vars, dtype=bool)
+        free[lo:hi] = True
+        lp = LinearProgram(lp.c, lp.A, lp.rel, lp.b, free)
+        sol, ref = solve_lp(lp), solve_lp(split_by_hand(lp, at=hi))
+        assert (sol.status, sol.iterations) == (ref.status, ref.iterations), dump_lp(lp)
+        if sol.status is LpStatus.OPTIMAL:
+            x = np.concatenate([ref.x[:lo], ref.x[lo:hi] - ref.x[hi:2 * hi - lo],
+                                ref.x[2 * hi - lo:]])
+            np.testing.assert_array_equal(sol.x, x)
+            assert sol.objective_value == ref.objective_value

@@ -43,19 +43,23 @@ def dummy_model(w, slacks=2):
 
 class TestLpConstruction:
     def test_soft_margin_shape(self):
+        # variables (h, w, b+, b-, q1, q2)
         lp = build_mcm_lp(TINY_PAIR, C=1.0)
         assert lp.n_rows == 4
-        assert lp.n_vars == 7
+        assert lp.n_vars == 6
+        assert lp.lower_free.tolist() == [False, True, False, False, False, False]
 
     def test_hard_margin_shape(self):
+        # variables (h, w, b+, b-)
         lp = build_mcm_lp(TINY_PAIR, hard_margin=True)
         assert lp.n_rows == 4
-        assert lp.n_vars == 5
+        assert lp.n_vars == 4
+        assert lp.lower_free.tolist() == [False, True, False, False]
 
     def test_objective_coefficients(self):
         lp = build_mcm_lp(TINY_PAIR, C=2.5)
         coeffs = sorted(lp.c.tolist())
-        assert coeffs == [0.0, 0.0, 0.0, 0.0, 1.0, 2.5, 2.5]
+        assert coeffs == [0.0, 0.0, 0.0, 1.0, 2.5, 2.5]
 
     def test_row_relations(self):
         lp = build_mcm_lp(TINY_PAIR, C=1.0)
