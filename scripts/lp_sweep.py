@@ -14,12 +14,12 @@ LP are solved, each through `mcmfs.mcm.train_mcm` with its defaults (C = 1):
   --folds stratified folds with seed s; each fold's training split,
   standardized on itself.
 
-Prints each side's failed LPs (an `ArithmeticError` or `McmTrainingError`),
-each LP where both sides solve but select different features, and each
-objective that differs by more than --rel-tol relative, then the counts
-(with the number of LPs whose pivot counts differ).
-Exits 0 when the two sides fail on the same LPs and agree on all others,
-1 otherwise.
+Prints each side's failed LPs (an `ArithmeticError` or `McmTrainingError`)
+and its LPs whose reported optimum violates a row or bound by more than
+FEAS_TOL; then each LP where both sides solve but select different features,
+each objective that differs by more than --rel-tol relative, and the counts
+(with the number of LPs whose pivot counts differ).  Exits 0 when the two
+sides fail on the same LPs and agree on all others, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import sys
 import tempfile
 
 SIDES = ("parent", "change")
+FEAS_TOL = 1e-6   # a larger row violation marks an "optimum" as infeasible
 
 
 def parse_range(text: str) -> list[int]:
@@ -69,8 +70,13 @@ def produce(tree: str, args) -> None:
         except (ArithmeticError, mcm.McmTrainingError) as exc:
             out = {"lp": name, "error": f"{type(exc).__name__}: {exc}"}
         else:
+            # The largest violation of an LP row or bound by the returned point.
+            u = ds.labels * (ds.samples @ model.weights + model.bias) + model.slacks
+            violation = float(np.max(np.concatenate(
+                [1.0 - u, u - model.capacity, -model.slacks, [-model.capacity]])))
             out = {"lp": name, "selected": list(model.selected),
-                   "objective": model.objective_value, "pivots": model.lp_iterations}
+                   "objective": model.objective_value, "pivots": model.lp_iterations,
+                   "violation": violation}
         print(json.dumps(out), flush=True)
 
     with tempfile.TemporaryDirectory(prefix="lp-sweep-") as tmp:
@@ -99,6 +105,10 @@ def compare(results: dict, rel_tol: float) -> tuple[list[str], list[str], dict]:
         failed = [k for k, r in results[side].items() if "error" in r]
         counts[f"{side}_failed"] = len(failed)
         failures += [f"{side} failed: {k}: {results[side][k]['error']}" for k in failed]
+        infeasible = [k for k, r in results[side].items() if r.get("violation", 0.0) > FEAS_TOL]
+        counts[f"{side}_infeasible"] = len(infeasible)
+        failures += [f"{side} returned an infeasible optimum: {k}: a row is violated by "
+                     f"{results[side][k]['violation']:.3g}" for k in infeasible]
     for name in dict.fromkeys([*results["parent"], *results["change"]]):
         counts["lps"] += 1
         p, c = (results[s].get(name) for s in SIDES)
@@ -166,8 +176,9 @@ def main(argv=None) -> int:
     failures, mismatches, counts = compare(results, args.rel_tol)
     for line in failures + mismatches:
         print(line)
-    print(f"{counts['lps']} LPs: parent failed {counts['parent_failed']}, change failed "
-          f"{counts['change_failed']}, both solved {counts['both_solved']} (pivot counts "
+    print(f"{counts['lps']} LPs: parent failed {counts['parent_failed']} (infeasible "
+          f"{counts['parent_infeasible']}), change failed {counts['change_failed']} (infeasible "
+          f"{counts['change_infeasible']}), both solved {counts['both_solved']} (pivot counts "
           f"differ on {counts['pivots_differ']}), largest relative objective difference "
           f"{counts['max_rel_diff']:.3g}")
     return 1 if mismatches else 0

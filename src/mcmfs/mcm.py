@@ -2,8 +2,8 @@
 
 The trainer minimizes h + C*sum(q) where h caps every signed margin from
 above, the margins stay >= 1 up to slack, and the weights are free variables
-of the linear program.  Features whose trained weight magnitude
-clears a relative threshold form the selected set.
+of the linear program.  Features whose trained weight magnitude clears a
+relative threshold form the selected set.
 """
 
 from __future__ import annotations

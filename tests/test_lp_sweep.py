@@ -13,7 +13,8 @@ _spec.loader.exec_module(lp_sweep)
 TINY = ["--wide-seeds", "1-2", "--sets", "2", "--wide-shape", "12x30", "--held-out", "6",
         "--fold-seeds", "1-2", "--fold-shape", "20x10", "--folds", "2"]
 
-# Fails on the 6-row fold splits of the fold sets and drops a feature elsewhere.
+# Fails on the 10-row training splits of the fold sets; elsewhere drops a feature,
+# doubles the objective and reports a capacity that the margins exceed.
 _MUTATION = '''
 
 _train_mcm = train_mcm
@@ -23,7 +24,8 @@ def train_mcm(d, **kwargs):
     if d.n_samples == 10:
         raise ArithmeticError("singular basis matrix")
     model = _train_mcm(d, **kwargs)
-    return replace(model, selected=model.selected[1:], objective_value=model.objective_value * 2)
+    return replace(model, selected=model.selected[1:], objective_value=model.objective_value * 2,
+                   capacity=0.0)
 '''
 
 
@@ -42,8 +44,8 @@ def test_same_tree_agrees(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert out.splitlines() == [
-        "8 LPs: parent failed 0, change failed 0, both solved 8 (pivot counts differ on 0), "
-        "largest relative objective difference 0"]
+        "8 LPs: parent failed 0 (infeasible 0), change failed 0 (infeasible 0), both solved 8 "
+        "(pivot counts differ on 0), largest relative objective difference 0"]
 
 
 def test_mismatches_are_listed(tmp_path, capsys):
@@ -53,6 +55,9 @@ def test_mismatches_are_listed(tmp_path, capsys):
     assert code == 1
     assert "change failed: folds 1 fold 0: ArithmeticError: singular basis matrix" in out
     assert "fails on one side only: folds 2 fold 1" in out
+    assert any(line.startswith("change returned an infeasible optimum: wide 1 0: a row is "
+                               "violated by ") for line in out)
     assert any(line.startswith("selection differs: wide 1 0: ") for line in out)
     assert any(line.startswith("objective differs: wide 2 1: ") for line in out)
-    assert out[-1].startswith("8 LPs: parent failed 0, change failed 4, both solved 4 ")
+    assert out[-1].startswith("8 LPs: parent failed 0 (infeasible 0), change failed 4 "
+                              "(infeasible 4), both solved 4 ")
