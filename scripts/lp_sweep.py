@@ -6,18 +6,20 @@ Each checkout runs in a Python process of its own, with one BLAS thread as
 in the benchmark, on its own `src/` and `pipebench/inputs.py`.  Two kinds of
 LP are solved, each through `mcmfs.mcm.train_mcm` with its defaults (C = 1):
 
-- wide: for each seed s and set i < --sets, the planted set
-  `[s, 72, 7129, i]` of the `pipeline-72x7129` workload (36 rows held out),
-  written as CSV and read back, then standardized: the LP of
+- wide: for each seed s and set i < 4, the planted set `[s, 72, 7129, i]`
+  of the `pipeline-72x7129` workload (as many rows again held out), written
+  as CSV and read back, then standardized: the LP of
   `mcmfs select --method mcm`;
-- folds: for each seed s, the planted set `[s, 100, 200, 0]`, split into
-  --folds stratified folds with seed s; each fold's training split,
-  standardized on itself.
+- folds: for each seed s, the planted set `[s, 100, 200, 0]`, split into 5
+  stratified folds with seed s; each fold's training split, standardized on
+  itself.
+
+--wide-shape and --fold-shape change the rows x features of each kind.
 
 Prints each side's failed LPs (an `ArithmeticError` or `McmTrainingError`)
 and its LPs whose reported optimum violates a row or bound by more than
 FEAS_TOL; then each LP where both sides solve but select different features,
-each objective that differs by more than --rel-tol relative, and the counts
+each objective that differs by more than REL_TOL relative, and the counts
 (with the number of LPs whose pivot counts differ).  Exits 0 when the two
 sides fail on the same LPs and agree on all others, 1 otherwise.
 """
@@ -33,6 +35,9 @@ import tempfile
 
 SIDES = ("parent", "change")
 FEAS_TOL = 1e-6   # a larger row violation marks an "optimum" as infeasible
+REL_TOL = 1e-12   # a larger relative objective difference is a mismatch
+SETS = 4          # wide sets per seed, as pipebench draws them
+FOLDS = 5
 
 
 def parse_range(text: str) -> list[int]:
@@ -47,9 +52,9 @@ def lp_cases(args):
     """(name, seed key, shape, held-out rows, folds) per planted set, in a fixed order."""
     wm, wn = args.wide_shape
     fm, fn = args.fold_shape
-    cases = [(f"wide {s} {i}", [s, wm, wn, i], (wm, wn), args.held_out, 0)
-             for s in parse_range(args.wide_seeds) for i in range(args.sets)]
-    cases += [(f"folds {s}", [s, fm, fn, 0], (fm, fn), 0, args.folds)
+    cases = [(f"wide {s} {i}", [s, wm, wn, i], (wm, wn), wm // 2, 0)
+             for s in parse_range(args.wide_seeds) for i in range(SETS)]
+    cases += [(f"folds {s}", [s, fm, fn, 0], (fm, fn), 0, FOLDS)
               for s in parse_range(args.fold_seeds)]
     return cases
 
@@ -97,7 +102,7 @@ def produce(tree: str, args) -> None:
                 train(f"{name} fold {f}", d.take(np.flatnonzero(plan.assignments != f)))
 
 
-def compare(results: dict, rel_tol: float) -> tuple[list[str], list[str], dict]:
+def compare(results: dict) -> tuple[list[str], list[str], dict]:
     """Each side's failures, the mismatches between the sides, and the counts."""
     failures, mismatches = [], []
     counts = {"lps": 0, "both_solved": 0, "pivots_differ": 0, "max_rel_diff": 0.0}
@@ -125,7 +130,7 @@ def compare(results: dict, rel_tol: float) -> tuple[list[str], list[str], dict]:
             diff = abs(p["objective"] - c["objective"]) / max(
                 abs(p["objective"]), abs(c["objective"]), 1e-300)
             counts["max_rel_diff"] = max(counts["max_rel_diff"], diff)
-            if diff > rel_tol:
+            if diff > REL_TOL:
                 mismatches.append(f"objective differs: {name}: {p['objective']!r} -> "
                                   f"{c['objective']!r}")
     return failures, mismatches, counts
@@ -141,14 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("parent", help="checkout of the parent commit")
     p.add_argument("change", help="checkout of the change")
     p.add_argument("--wide-seeds", default="1-15", help="first-last seed of the wide sets")
-    p.add_argument("--sets", type=int, default=4, help="wide sets per seed")
     p.add_argument("--wide-shape", type=shape, default=(72, 7129), help="training rows x features")
-    p.add_argument("--held-out", type=int, default=36, help="rows held out of each wide set")
     p.add_argument("--fold-seeds", default="1-60", help="first-last seed of the fold sets")
-    p.add_argument("--fold-shape", type=shape, default=(100, 200))
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--rel-tol", type=float, default=1e-12,
-                   help="largest relative objective difference that counts as equal")
+    p.add_argument("--fold-shape", type=shape, default=(100, 200), help="rows x features")
     return p
 
 
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
             return 1
         rows = [json.loads(line) for line in done.stdout.splitlines()]
         results[side] = {r["lp"]: r for r in rows}
-    failures, mismatches, counts = compare(results, args.rel_tol)
+    failures, mismatches, counts = compare(results)
     for line in failures + mismatches:
         print(line)
     print(f"{counts['lps']} LPs: parent failed {counts['parent_failed']} (infeasible "

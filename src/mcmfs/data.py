@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,19 +113,33 @@ def load_dataset(path, fmt: str = "csv", label_column: str = "label") -> Dataset
     the class.  `sparse`: one sample per line, "label idx:val idx:val ..."
     with 1-based ascending indices; absent entries are zero.  A file that is
     not UTF-8 raises a DataError naming the line and byte offset at fault.
+    Input that is not a regular file, such as a pipe, is read into memory
+    first, since it cannot be read again from its start.
     """
     if fmt not in ("csv", "sparse"):
         raise ValueError(f"unknown dataset format: {fmt!r}")
+    src = path if os.path.isfile(path) else _read_bytes(path)
     try:
-        return _load_csv(path, label_column) if fmt == "csv" else _load_sparse(path)
+        return _load_csv(src, label_column) if fmt == "csv" else _load_sparse(src)
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+        raise _not_utf8(src, exc) from None
 
 
-def _not_utf8(path, exc: UnicodeDecodeError) -> DataError:
-    """Locate the bad byte in the file; `exc` counts from the start of a decoder chunk."""
+def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
-        raw = fh.read()
+        return fh.read()
+
+
+def _open_text(src, newline=None):
+    """`src`, a file name or the bytes of the input, as UTF-8 text with a leading BOM skipped."""
+    if isinstance(src, bytes):
+        return io.TextIOWrapper(io.BytesIO(src), encoding="utf-8-sig", newline=newline)
+    return open(src, newline=newline, encoding="utf-8-sig")
+
+
+def _not_utf8(src, exc: UnicodeDecodeError) -> DataError:
+    """Locate the bad byte in the input; `exc` counts from the start of a decoder chunk."""
+    raw = src if isinstance(src, bytes) else _read_bytes(src)
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as whole:
@@ -160,11 +176,11 @@ def _parse_row(cells: list[str], where: str) -> np.ndarray:
     return values
 
 
-def _load_csv(path, label_column: str) -> Dataset:
-    with open(path, newline="\n", encoding="utf-8-sig") as fh:
+def _load_csv(src, label_column: str) -> Dataset:
+    with _open_text(src, newline="\n") as fh:
         parsed = _read_plain_csv(fh, label_column)
     if parsed is None:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with _open_text(src, newline="") as fh:
             reader = csv.reader(fh)
             try:
                 parsed = _read_csv(reader, label_column)
@@ -254,11 +270,11 @@ def _labeled(samples, raw_labels, names) -> Dataset:
     return Dataset(samples, [mapping[v] for v in raw_labels], names)
 
 
-def _load_sparse(path) -> Dataset:
+def _load_sparse(src) -> Dataset:
     raw_labels = []
     row_entries: list[dict[int, float]] = []
     n = 0
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open_text(src) as fh:
         for lnum, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -1,4 +1,7 @@
+import contextlib
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -236,6 +239,59 @@ class TestSparseLoading:
         p = write(tmp_path, "d.sp", "+1 oops\n-1 1:1\n")
         with pytest.raises(DataError):
             load_dataset(p, fmt="sparse")
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """A path that reads `data` from a pipe, as `--input /dev/stdin` does in a shell pipeline."""
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        writer.join()
+        os.close(r)
+
+
+def wide_rows(fmt):
+    """2000 rows of a two-feature set, past the text decoder's first 8 KB chunk."""
+    data = bytearray(b"f1,f2,label\n" if fmt == "csv" else b"")
+    row = "{k}.5,{j}.25,{c}1\n" if fmt == "csv" else "{c}1 1:{k}.5 2:{j}.25\n"
+    for k in range(2000):
+        data += row.format(k=k, j=k % 7, c="+-"[k % 2]).encode()
+    return data
+
+
+class TestPipedInput:
+    def test_irregular_csv_loads_as_from_a_file(self, tmp_path):
+        # The quoted last label sends the file to the csv module after numpy
+        # has read most of it, so the input is read twice.
+        data = bytes(wide_rows("csv")).removesuffix(b"-1\n") + b'"-1"\n'
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        with piped(data) as path:
+            d = load_dataset(path)
+        ref = load_dataset(str(p))
+        np.testing.assert_array_equal(d.samples, ref.samples)
+        np.testing.assert_array_equal(d.labels, ref.labels)
+        assert d.feature_names == ref.feature_names
+        assert d.n_samples == 2000
+
+    @pytest.mark.parametrize("fmt", ["csv", "sparse"])
+    def test_non_utf8_byte_is_located_in_the_input(self, fmt):
+        data = wide_rows(fmt)
+        data[20_000] = 0xFF
+        line = data.count(b"\n", 0, 20_000) + 1
+        with piped(bytes(data)) as path, pytest.raises(DataError) as err:
+            load_dataset(path, fmt=fmt)
+        assert str(err.value) == (f"line {line}: byte 20000 is not valid UTF-8 "
+                                  "(invalid start byte 0xff)")
 
 
 class TestDatasetInvariants:

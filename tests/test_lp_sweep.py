@@ -10,10 +10,11 @@ _spec = importlib.util.spec_from_file_location(
 lp_sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(lp_sweep)
 
-TINY = ["--wide-seeds", "1-2", "--sets", "2", "--wide-shape", "12x30", "--held-out", "6",
-        "--fold-seeds", "1-2", "--fold-shape", "20x10", "--folds", "2"]
+# 4 wide LPs and the 5 folds of one fold set
+TINY = ["--wide-seeds", "1-1", "--wide-shape", "12x30", "--fold-seeds", "1-1",
+        "--fold-shape", "20x10"]
 
-# Fails on the 10-row training splits of the fold sets; elsewhere drops a feature,
+# Fails on the 16-row training splits of the fold sets; elsewhere drops a feature,
 # doubles the objective and reports a capacity that the margins exceed.
 _MUTATION = '''
 
@@ -21,7 +22,7 @@ _train_mcm = train_mcm
 
 
 def train_mcm(d, **kwargs):
-    if d.n_samples == 10:
+    if d.n_samples == 16:
         raise ArithmeticError("singular basis matrix")
     model = _train_mcm(d, **kwargs)
     return replace(model, selected=model.selected[1:], objective_value=model.objective_value * 2,
@@ -44,7 +45,7 @@ def test_same_tree_agrees(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert out.splitlines() == [
-        "8 LPs: parent failed 0 (infeasible 0), change failed 0 (infeasible 0), both solved 8 "
+        "9 LPs: parent failed 0 (infeasible 0), change failed 0 (infeasible 0), both solved 9 "
         "(pivot counts differ on 0), largest relative objective difference 0"]
 
 
@@ -54,10 +55,10 @@ def test_mismatches_are_listed(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     assert "change failed: folds 1 fold 0: ArithmeticError: singular basis matrix" in out
-    assert "fails on one side only: folds 2 fold 1" in out
+    assert "fails on one side only: folds 1 fold 4" in out
     assert any(line.startswith("change returned an infeasible optimum: wide 1 0: a row is "
                                "violated by ") for line in out)
     assert any(line.startswith("selection differs: wide 1 0: ") for line in out)
-    assert any(line.startswith("objective differs: wide 2 1: ") for line in out)
-    assert out[-1].startswith("8 LPs: parent failed 0 (infeasible 0), change failed 4 "
+    assert any(line.startswith("objective differs: wide 1 3: ") for line in out)
+    assert out[-1].startswith("9 LPs: parent failed 0 (infeasible 0), change failed 5 "
                               "(infeasible 4), both solved 4 ")

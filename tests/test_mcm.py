@@ -1,10 +1,13 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcmfs.data import DataError, Standardizer
-from mcmfs.linprog import GE, LE, LpStatus
+from mcmfs.data import DataError, Standardizer, apply_standardizer, fit_standardizer
+from mcmfs.linprog import GE, LE, LinearProgram, LpStatus, solve_lp
 from mcmfs.mcm import (
     ABS_FLOOR,
     REL_TOL,
@@ -81,6 +84,47 @@ class TestLpConstruction:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             build_mcm_lp(TINY_PAIR, C=1.0, variant="other")
+
+
+def split_by_hand(lp, n):
+    """The MCM LP with w split by hand: columns (h, w+, w-, b+, b-, q), none free."""
+    c, A = lp.c, lp.A
+    return LinearProgram(np.concatenate([c[:n + 1], -c[1:n + 1], c[n + 1:]]),
+                         np.hstack([A[:, :n + 1], -A[:, 1:n + 1], A[:, n + 1:]]),
+                         lp.rel, lp.b, np.zeros(lp.n_vars + n, dtype=bool))
+
+
+def planted_set(key, m, n):
+    """The planted set `key` of the benchmark inputs, standardized as `mcmfs select` does."""
+    spec = importlib.util.spec_from_file_location(
+        "inputs", os.path.join(os.path.dirname(__file__), os.pardir, "pipebench", "inputs.py"))
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    X, y = inputs.planted(np.random.default_rng(key), m, n)
+    d = make_dataset(X, y)
+    return apply_standardizer(fit_standardizer(d), d)
+
+
+class TestStandardFormOrder:
+    # `build_mcm_lp` splits b by hand and `solve_lp` puts the negated copies of
+    # the free w right after w, so that the solve pivots exactly as the LP split
+    # by hand in the order (h, w+, w-, b+, b-, q).  A change to either side
+    # changes the pivot ties, and this test.
+    # On the planted set, whose distractors repeat 8 columns, the negated copies
+    # placed after all variables take 127 pivots instead of 114.
+    @pytest.mark.parametrize("d,hard_margin", [
+        (TINY_PAIR, False), (TINY_PAIR, True), (planted_set([59, 80, 200, 0], 80, 200), False),
+    ], ids=["tiny", "tiny-hard", "planted-80x200"])
+    def test_pivots_like_the_lp_split_by_hand(self, d, hard_margin):
+        n = d.n_features
+        lp = build_mcm_lp(d, C=1.0, hard_margin=hard_margin)
+        sol, ref = solve_lp(lp), solve_lp(split_by_hand(lp, n))
+        assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+        if sol.status is LpStatus.OPTIMAL:
+            x = np.concatenate([ref.x[:1], ref.x[1:n + 1] - ref.x[n + 1:2 * n + 1],
+                                ref.x[2 * n + 1:]])
+            np.testing.assert_array_equal(sol.x, x)
+            assert sol.objective_value == ref.objective_value
 
 
 class TestTraining:
