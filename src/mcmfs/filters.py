@@ -66,19 +66,27 @@ def relieff_rank(d: Dataset, k_neighbors: int = 10, seed: int = 42) -> np.ndarra
     ranges = np.where(ranges > 0.0, ranges, 1.0)
     tie_rank = np.random.default_rng(seed).permutation(M)
 
+    # Manhattan distances from the upper triangle: |a - b| == |b - a| exactly,
+    # and each row sums its n terms in the same order, so D[j, i] == D[i, j].
+    D = np.zeros((M, M))
+    diffs = np.empty_like(X)
+    for i in range(M - 1):
+        rest = diffs[:M - i - 1]
+        np.subtract(X[i + 1:], X[i], out=rest)
+        np.abs(rest, out=rest)
+        D[i, i + 1:] = D[i + 1:, i] = rest.sum(axis=1)
+
     weights = np.zeros(n)
     scale = 1.0 / (M * k_neighbors)
-    diffs = np.empty_like(X)
     for i in range(M):
-        np.subtract(X, X[i], out=diffs)
-        np.abs(diffs, out=diffs)
-        dists = diffs.sum(axis=1)
-        order = np.lexsort((tie_rank, dists))
+        order = np.lexsort((tie_rank, D[i]))
         same = y[order] == y[i]
-        hit_order = order[same & (order != i)][:k_neighbors]
-        miss_order = order[~same][:k_neighbors]
-        weights -= diffs[hit_order].sum(axis=0) / ranges * scale
-        weights += diffs[miss_order].sum(axis=0) / ranges * scale
+        # each class has more than k rows: k hits, then k misses
+        near = np.concatenate([order[same & (order != i)][:k_neighbors],
+                               order[~same][:k_neighbors]])
+        np.abs(X[near] - X[i], out=diffs[:2 * k_neighbors])
+        weights -= diffs[:k_neighbors].sum(axis=0) / ranges * scale
+        weights += diffs[k_neighbors:2 * k_neighbors].sum(axis=0) / ranges * scale
 
     return weights
 

@@ -15,7 +15,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from . import filters, mcm, svm
-from .data import Dataset, FoldPlan, apply_standardizer, fit_standardizer, stratified_kfold
+from .data import Dataset, FoldPlan, apply_standardizer, fit_standardizer
 
 METHODS = ("mcm", "relieff", "fcbf")
 SELECTIONS = ("per_fold", "global")
@@ -81,25 +81,15 @@ def _tune_mcm_C(train: Dataset, cfg: HarnessConfig) -> float:
     k = min(3, min(train.class_counts().values()))
     if k < 2:
         return cfg.mcm_C
-    plan = stratified_kfold(train, k, cfg.seed)
-    best = None
-    for C in MCM_C_GRID:
-        total = 0.0
-        for f in range(k):
-            tr = train.take(plan.train_indices(f))
-            te = train.take(plan.test_indices(f))
-            try:
-                model = mcm.train_mcm(tr, C=C, variant=cfg.mcm_variant,
-                                      rel_tol=cfg.mcm_rel_tol)
-            except mcm.McmTrainingError:
-                total = 0.0
-                break
-            pred = mcm.mcm_classify(model, te.samples)
-            total += float((pred == te.labels).mean())
-        acc = total / k
-        if best is None or acc > best[1]:
-            best = (C, acc)
-    return best[0]
+
+    def predict(C, s, tr, te):
+        try:
+            model = mcm.train_mcm(tr, C=C, variant=cfg.mcm_variant, rel_tol=cfg.mcm_rel_tol)
+        except mcm.McmTrainingError:
+            return None
+        return mcm.mcm_classify(model, te.samples)
+
+    return svm.first_best(train, k, cfg.seed, MCM_C_GRID, predict)[0]
 
 
 def _select_features(train: Dataset, method: str, cfg: HarnessConfig) -> tuple[int, ...]:

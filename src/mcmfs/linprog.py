@@ -224,12 +224,23 @@ def _drive_out_artificials(state: _SimplexState, n_real: int) -> _SimplexState:
     return _SimplexState(S, state.b[keep], state.basis[keep], state.at, state.free_idx)
 
 
+def _violation(lp: LinearProgram, x: np.ndarray) -> float:
+    """The largest amount by which x breaks a row of lp or a nonnegative bound."""
+    r = lp.A @ x - lp.b
+    rel = np.array(lp.rel)
+    by_row = np.where(rel == LE, r, np.where(rel == GE, -r, np.abs(r)))
+    return float(max(by_row.max(initial=0.0), -x[~lp.lower_free].min(initial=0.0)))
+
+
 def solve_lp(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9,
              max_iters: int = 50_000) -> LpSolution:
     """Two-phase revised simplex with Dantzig pricing and Bland anti-cycling.
 
     Returns an Optimal solution at a basic feasible point (a vertex of the
     feasible region), or the Infeasible/Unbounded/IterationLimit status.
+    Raises ArithmeticError on a solver fault: a singular basis, or a final
+    point that violates a row or bound by more than 1e3 * feas_tol (scaled by
+    the largest |b| above 1), the same tolerance as the phase-1 test.
     """
     if feas_tol <= 0 or opt_tol <= 0:
         raise ValueError("tolerances must be positive")
@@ -268,6 +279,8 @@ def solve_lp(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9,
 
     pivots_used = 0
     state = _SimplexState(S, b, basis, at, free_idx)
+    # phase-1 infeasibility and the final point's row or bound violation
+    violation_tol = 1e3 * feas_tol * max(1.0, float(np.abs(b).max(initial=0.0)))
 
     if art_rows:
         c_phase1 = np.zeros(state.n_cols)
@@ -279,7 +292,7 @@ def solve_lp(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9,
         if code == _UNBOUNDED:
             raise ArithmeticError("phase-1 objective is bounded below; unbounded signal is a solver fault")
         infeas = float(c_phase1[state.basis] @ state.xB)
-        if infeas > 1e3 * feas_tol * max(1.0, float(np.abs(b).max(initial=0.0))):
+        if infeas > violation_tol:
             return LpSolution(LpStatus.INFEASIBLE, None, float("nan"), pivots_used)
         state = _drive_out_artificials(state, n_real)
 
@@ -294,6 +307,9 @@ def solve_lp(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9,
     x_std[state.basis] = np.where(np.abs(state.xB) < feas_tol, np.maximum(state.xB, 0.0), state.xB)
     x = x_std[np.r_[0:at, at + n_free:n_struct]]
     x[free_idx] -= x_std[at:at + n_free]
+    violation = _violation(lp, x)
+    if violation > violation_tol:
+        raise ArithmeticError(f"simplex optimum violates a constraint by {violation:.3g}")
     objective = float(lp.c @ x)
 
     # Row prices for the original rows; sign-normalized rows flip back.  Rows

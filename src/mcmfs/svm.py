@@ -197,46 +197,75 @@ def svm_predict_batch(model: SvmModel, X) -> np.ndarray:
     return np.where(svm_decision_values(model, X) >= 0.0, 1, -1).astype(np.int64)
 
 
+def first_best(d: Dataset, folds: int, seed: int, candidates, predict):
+    """The first candidate with the highest stratified k-fold accuracy on `d`.
+
+    `predict(candidate, s, train, test)` trains on split s and returns its
+    labels for `test`, or None when training fails; a candidate that fails on
+    any split scores 0.  Candidates are scanned in the order given, and only a
+    strictly higher accuracy replaces the best, so ties go to the earlier one.
+    Before each split the scan adds 1.0 per split left to the running total,
+    in the order the real accuracies are added: rounded addition is monotone,
+    so that sum bounds what the candidate can still reach.  Once the bound is
+    no better than the best accuracy, the remaining splits are skipped, which
+    changes no answer.  Returns (candidate, accuracy).
+    """
+    plan = stratified_kfold(d, folds, seed)
+    splits = [(d.take(plan.train_indices(f)), d.take(plan.test_indices(f)))
+              for f in range(folds)]
+    best = None
+    for candidate in candidates:
+        total = 0.0
+        for s, (train, test) in enumerate(splits):
+            if best is not None:
+                ceiling = total
+                for _ in range(s, folds):
+                    ceiling += 1.0
+                if ceiling / folds <= best[1]:
+                    break  # total <= ceiling, so this candidate ranks below best
+            pred = predict(candidate, s, train, test)
+            if pred is None:
+                total = 0.0
+                break
+            total += float((pred == test.labels).mean())
+        acc = total / folds
+        if best is None or acc > best[1]:
+            best = (candidate, acc)
+    return best
+
+
 def grid_search(d: Dataset, feature_subset, C_grid=DEFAULT_C_GRID,
                 gamma_grid=DEFAULT_GAMMA_GRID, folds: int = 5, seed: int = 42):
-    """Pick (C, gamma) by stratified k-fold accuracy on `d`.
+    """Pick (C, gamma) by stratified k-fold accuracy on `d` (`first_best`).
 
-    Grids are scanned in ascending order with strictly-better updates, so ties
-    resolve toward the smaller C and then the smaller gamma.  A cell whose
-    training fails anywhere scores 0.  Returns (C, gamma, cv_accuracy).
+    Grids are scanned in ascending order, C outermost, so ties resolve toward
+    the smaller C and then the smaller gamma.  A cell whose training fails
+    anywhere scores 0.  Returns (C, gamma, cv_accuracy).
 
     Per split and gamma, the first model trained with `never_at_C` also
     serves every larger C (`_at_larger_C`) instead of being trained again;
-    every other cell calls `train_svm`.
+    every other split that the scan scores calls `train_svm`.
     """
     subset = _validate_subset(feature_subset, d.n_features)
     Cs = sorted(float(v) for v in C_grid)
     gammas = sorted(float(v) for v in gamma_grid)
     if not Cs or not gammas:
         raise ValueError("grids must not be empty")
-    plan = stratified_kfold(d, folds, seed)
-    splits = [(d.take(plan.train_indices(f)), d.take(plan.test_indices(f)))
-              for f in range(folds)]
     exact = {}  # (split, gamma) -> a model that solves every larger C
-    best = None
-    for C in Cs:
-        for gamma in gammas:
-            total = 0.0
-            failed = False
-            for s, (train, test) in enumerate(splits):
-                if (s, gamma) in exact:
-                    model = _at_larger_C(exact[s, gamma], C)
-                else:
-                    try:
-                        model = train_svm(train, subset, C, gamma)
-                    except SvmTrainingError:
-                        failed = True
-                        break
-                    if model.never_at_C:
-                        exact[s, gamma] = model
-                pred = svm_predict_batch(model, test.samples)
-                total += float((pred == test.labels).mean())
-            acc = 0.0 if failed else total / folds
-            if best is None or acc > best[2]:
-                best = (C, gamma, acc)
-    return best
+
+    def predict(cell, s, train, test):
+        C, gamma = cell
+        if (s, gamma) in exact:
+            model = _at_larger_C(exact[s, gamma], C)
+        else:
+            try:
+                model = train_svm(train, subset, C, gamma)
+            except SvmTrainingError:
+                return None
+            if model.never_at_C:
+                exact[s, gamma] = model
+        return svm_predict_batch(model, test.samples)
+
+    (C, gamma), acc = first_best(d, folds, seed,
+                                 [(C, gamma) for C in Cs for gamma in gammas], predict)
+    return C, gamma, acc

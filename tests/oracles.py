@@ -3,11 +3,12 @@
 Everything here trades efficiency for obvious correctness: exhaustive vertex
 and ray enumeration for linear programs, exhaustive active-set enumeration for
 the kernel-machine dual, a literal double-loop neighbor scan for the
-relevance weights, and the running-sum, per-cell, per-column and per-pair
-loops that the package's ReliefF prefix rule, CSV loader, discretizer and
-FCBF replace with whole-matrix numpy.
+relevance weights, and the per-anchor, running-sum, per-cell, per-column and
+per-pair loops that the package's ReliefF distances and prefix rule, CSV
+loader, discretizer and FCBF replace with whole-matrix numpy.
 None of it shares code with the package under test, except the SVM grid
-search, which checks only the search around the package's trainer.
+search and the MCM C scan, which check only the scans around the package's
+trainers.
 """
 
 from __future__ import annotations
@@ -226,6 +227,30 @@ def relieff_weights_naive(X, y, k):
     return W
 
 
+def relieff_weights_per_anchor(X, y, k, seed):
+    """ReliefF with one full row of Manhattan distances per anchor, ties broken by a
+    seeded permutation of the samples, as the package breaks them.
+
+    The package computes the distance matrix once and must match this bit for bit.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    M, n = X.shape
+    ranges = X.max(axis=0) - X.min(axis=0)
+    ranges = np.where(ranges > 0.0, ranges, 1.0)
+    tie_rank = np.random.default_rng(seed).permutation(M)
+    weights = np.zeros(n)
+    scale = 1.0 / (M * k)
+    for i in range(M):
+        diffs = np.abs(X - X[i])
+        order = np.lexsort((tie_rank, diffs.sum(axis=1)))
+        same = y[order] == y[i]
+        hits = order[same & (order != i)][:k]
+        misses = order[~same][:k]
+        weights -= diffs[hits].sum(axis=0) / ranges * scale
+        weights += diffs[misses].sum(axis=0) / ranges * scale
+    return weights
+
+
 def cumulative_fraction_loop(weights, fraction):
     """The ReliefF prefix rule: walk the features by (-weight, index), adding clamped
     weights until they reach `fraction` of their total.
@@ -344,32 +369,60 @@ def fcbf_pairwise(X, labels, delta=0.0):
     return tuple(sorted(survivors))
 
 
+def _first_best_every_split(d, candidates, folds, seed, train, predict, failure):
+    """Score every candidate on every split; keep the first strictly better one.
+
+    A candidate whose `train` raises `failure` on any split scores 0.  The
+    split accuracies are added left to right (the builtin `sum` compensates
+    its rounding from Python 3.12 on).  Returns (candidate, accuracy).
+    """
+    from mcmfs.data import stratified_kfold
+
+    plan = stratified_kfold(d, folds, seed)
+    best = None
+    for candidate in candidates:
+        total = 0.0
+        for f in range(folds):
+            tr, te = d.take(plan.train_indices(f)), d.take(plan.test_indices(f))
+            try:
+                model = train(tr, candidate)
+            except failure:
+                total = 0.0
+                break
+            total += float((predict(model, te.samples) == te.labels).mean())
+        acc = total / folds
+        if best is None or acc > best[1]:
+            best = (candidate, acc)
+    return best
+
+
 def grid_search_every_cell(d, feature_subset, C_grid, gamma_grid, folds=5, seed=42):
     """The SVM grid search with a `train_svm` call for every (C, gamma, split).
 
     It checks the package's search, which skips cells whose answer a smaller C
-    already gave, so it calls the package's trainer, predictor and fold plan.
-    Same scan order and tie rule: ascending grids, strictly-better updates, and
-    0 for a cell whose training fails on any split.  Returns (C, gamma, accuracy).
+    already gave or which can no longer beat the best accuracy, so it calls
+    the package's trainer, predictor and fold plan.  Same scan order and tie
+    rule: ascending grids, strictly-better updates, and 0 for a cell whose
+    training fails on any split.  Returns (C, gamma, accuracy).
     """
-    from mcmfs.data import stratified_kfold
     from mcmfs.svm import SvmTrainingError, svm_predict_batch, train_svm
 
-    plan = stratified_kfold(d, folds, seed)
-    best = None
-    for C in sorted(float(v) for v in C_grid):
-        for gamma in sorted(float(v) for v in gamma_grid):
-            scores = []
-            for f in range(folds):
-                train, test = d.take(plan.train_indices(f)), d.take(plan.test_indices(f))
-                try:
-                    model = train_svm(train, feature_subset, C, gamma)
-                except SvmTrainingError:
-                    scores = [0.0] * folds
-                    break
-                scores.append(float((svm_predict_batch(model, test.samples)
-                                     == test.labels).mean()))
-            acc = sum(scores) / folds
-            if best is None or acc > best[2]:
-                best = (C, gamma, acc)
-    return best
+    cells = [(C, gamma) for C in sorted(float(v) for v in C_grid)
+             for gamma in sorted(float(v) for v in gamma_grid)]
+    (C, gamma), acc = _first_best_every_split(
+        d, cells, folds, seed, lambda tr, cell: train_svm(tr, feature_subset, *cell),
+        svm_predict_batch, SvmTrainingError)
+    return C, gamma, acc
+
+
+def mcm_C_every_candidate(d, C_grid, folds, seed, **options):
+    """The MCM slack weight C of `C_grid` with the best k-fold accuracy of the
+    hyperplane, from a `train_mcm` call for every (C, split), in grid order.
+
+    `options` go to `train_mcm`.  Returns (C, accuracy).
+    """
+    from mcmfs.mcm import McmTrainingError, mcm_classify, train_mcm
+
+    return _first_best_every_split(d, C_grid, folds, seed,
+                                   lambda tr, C: train_mcm(tr, C=C, **options),
+                                   mcm_classify, McmTrainingError)

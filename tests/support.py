@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from mcmfs import linprog
 from mcmfs.data import Dataset
 from mcmfs.filters import _su
 from mcmfs.linprog import EQ, GE, LE, LinearProgram
@@ -14,6 +15,25 @@ def make_dataset(X, y, prefix="f") -> Dataset:
     y = np.asarray(y, dtype=np.int64)
     names = tuple(f"{prefix}{j}" for j in range(1, X.shape[1] + 1))
     return Dataset(X, y, names)
+
+
+def with_flipped_labels(d: Dataset, rows) -> Dataset:
+    """`d` with the labels of `rows` negated: label noise that no hyperplane fits."""
+    labels = d.labels.copy()
+    labels[list(rows)] *= -1
+    return make_dataset(d.samples, labels)
+
+
+def drift_basic_values(monkeypatch, shift):
+    """Move the basic values by `shift` after every simplex phase, as a drifted basis would."""
+    iterate = linprog._iterate
+
+    def drifted(state, *args):
+        outcome = iterate(state, *args)
+        state.xB = state.xB + shift
+        return outcome
+
+    monkeypatch.setattr(linprog, "_iterate", drifted)
 
 
 def su(x, y) -> float:

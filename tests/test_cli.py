@@ -8,7 +8,7 @@ from mcmfs.cli import _config, build_parser, main, svm_model_to_text
 from mcmfs.data import Standardizer, document_text, fmt17
 from mcmfs.harness import HarnessConfig
 from mcmfs.svm import SvmModel
-from support import make_dataset, write_csv
+from support import drift_basic_values, make_dataset, write_csv
 
 
 def separable(m=12, seed=0):
@@ -124,6 +124,16 @@ class TestSelect:
         code = main(["select", "--input", csv_path, "--out", str(out)])
         assert code == 3
         assert "training error: singular basis matrix" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infeasible_optimum_is_training_error(self, csv_path, tmp_path, capsys,
+                                                  monkeypatch):
+        drift_basic_values(monkeypatch, -10.0)
+        out = tmp_path / "feats.txt"
+        code = main(["select", "--input", csv_path, "--method", "mcm", "--out", str(out)])
+        assert code == 3
+        assert "training error: simplex optimum violates a constraint by" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     def test_label_column_flag(self, tmp_path):

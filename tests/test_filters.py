@@ -15,7 +15,7 @@ from mcmfs.filters import (
     relieff_rank,
 )
 from oracles import (cumulative_fraction_loop, discretize_columnwise, fcbf_pairwise,
-                     relieff_weights_naive, su_codes)
+                     relieff_weights_naive, relieff_weights_per_anchor, su_codes)
 from support import make_benchmark_dataset, make_dataset, su, write_csv
 
 QUAD = make_dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1, 1, -1, -1])
@@ -50,6 +50,21 @@ class TestReliefF:
         got = relieff_rank(d, k_neighbors=k)
         np.testing.assert_allclose(got, relieff_weights_naive(X, d.labels, k),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_anchor_scan_on_wide_tied_data(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(24, 50)), int(rng.integers(500, 4000))
+        # three levels per cell tie many distances; a repeated row ties every one
+        X = rng.integers(0, 3, size=(m, n)).astype(np.float64)
+        if seed % 2:
+            X += rng.normal(size=(m, n)) * (rng.random(n) < 0.3)
+        X[1] = X[0]
+        half = m // 2
+        d = make_dataset(X, [1] * half + [-1] * (m - half))
+        k = int(rng.integers(1, 11))
+        assert np.array_equal(relieff_rank(d, k_neighbors=k, seed=seed),
+                              relieff_weights_per_anchor(X, d.labels, k, seed))
 
     def test_weights_bounded(self):
         rng = np.random.default_rng(5)

@@ -13,8 +13,10 @@ from mcmfs.harness import (
     report_to_text,
     run_method_cv,
 )
+from mcmfs import mcm
 from mcmfs.mcm import mcm_classify, train_mcm
-from support import make_dataset
+from oracles import mcm_C_every_candidate
+from support import make_benchmark_dataset, make_dataset, with_flipped_labels
 
 FAST = dict(svm_C_grid=(1.0,), svm_gamma_grid=(0.5,), relieff_k=2, inner_folds=3)
 
@@ -99,6 +101,46 @@ class TestMcmTuning:
         best = MCM_C_GRID[int(np.argmax(accuracies))]  # first maximum: ties go to the smaller C
         assert best != MCM_C_GRID[0]
         assert _tune_mcm_C(d, cfg) == best
+
+
+def record_mcm_training(monkeypatch, fail_at=None):
+    """Log the C of every train_mcm call; a call at C == fail_at fails."""
+    calls = []
+    train = mcm.train_mcm
+
+    def wrapper(d, C=1.0, **options):
+        calls.append(C)
+        if C == fail_at:
+            raise mcm.McmTrainingError("training failed: LP status Infeasible")
+        return train(d, C=C, **options)
+
+    monkeypatch.setattr(mcm, "train_mcm", wrapper)
+    return calls
+
+
+class TestMcmTuningScan:
+    """_tune_mcm_C stops a C once it cannot beat the best inner accuracy."""
+
+    @pytest.mark.parametrize("flips", [(), (4,), (1, 6, 13)])
+    @pytest.mark.parametrize("fail_at", [None, 1.0])
+    def test_equals_training_every_C(self, monkeypatch, flips, fail_at):
+        d = with_flipped_labels(make_benchmark_dataset(m=24, n=12, seed=3), flips)
+        cfg = HarnessConfig()
+        calls = record_mcm_training(monkeypatch, fail_at)
+        expected, _ = mcm_C_every_candidate(d, MCM_C_GRID, 3, cfg.seed,
+                                            variant=cfg.mcm_variant, rel_tol=cfg.mcm_rel_tol)
+        every = len(calls)
+        assert _tune_mcm_C(d, cfg) == expected
+        assert len(calls) - every < every
+
+    def test_no_training_after_a_perfect_C(self, monkeypatch):
+        d = make_benchmark_dataset(m=24, n=12, seed=3)
+        cfg = HarnessConfig()
+        C, acc = mcm_C_every_candidate(d, MCM_C_GRID, 3, cfg.seed)
+        assert acc == 1.0 and C != MCM_C_GRID[-1]
+        calls = record_mcm_training(monkeypatch)
+        assert _tune_mcm_C(d, cfg) == C
+        assert calls[-3:] == [C] * 3 and calls.count(C) == 3
 
 
 class TestPairing:

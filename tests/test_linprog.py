@@ -12,7 +12,7 @@ from mcmfs.linprog import (
     solve_lp,
 )
 from oracles import enumerate_orthant_lp
-from support import dump_lp, lp_of, random_lp
+from support import drift_basic_values, dump_lp, lp_of, random_lp
 
 
 class TestKnownInstances:
@@ -74,6 +74,24 @@ class TestKnownInstances:
         full = solve_lp(lp)
         assert full.status is LpStatus.OPTIMAL
         assert full.objective_value == pytest.approx(-1.0, abs=1e-9)
+
+
+class TestReturnedPointChecked:
+    """An "optimum" that breaks a row or bound is a solver fault, not an answer."""
+
+    LP = lp_of([1.0, 1.0], [([1.0, 1.0], GE, 2.0), ([1.0, -1.0], LE, 1.0)])
+
+    def test_drift_within_tolerance_is_accepted(self, monkeypatch):
+        drift_basic_values(monkeypatch, -1e-8)
+        sol = solve_lp(self.LP)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective_value == pytest.approx(2.0, abs=1e-7)
+
+    @pytest.mark.parametrize("shift", [-1e-4, -10.0])
+    def test_drifted_basic_values_raise(self, monkeypatch, shift):
+        drift_basic_values(monkeypatch, shift)
+        with pytest.raises(ArithmeticError, match="optimum violates a constraint by"):
+            solve_lp(self.LP)
 
 
 class TestValidation:

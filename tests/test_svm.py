@@ -21,6 +21,7 @@ from support import (
     make_benchmark_dataset,
     make_dataset,
     random_two_class,
+    with_flipped_labels,
     xor_dataset,
 )
 
@@ -296,10 +297,17 @@ class TestGridReuse:
         assert len(calls) <= len(grids[0]) * len(grids[1]) * folds
 
     def test_cells_below_C_are_not_trained_again(self, monkeypatch):
-        d = make_benchmark_dataset(m=40, n=30, seed=1)
+        # Flipped labels keep every cell below accuracy 1, so the bounded scan
+        # still reaches the larger C that reuse serves.
+        d = with_flipped_labels(make_benchmark_dataset(m=40, n=30, seed=1), (3, 17, 28))
         subset = tuple(range(5, 25))
         expected = grid_search_every_cell(d, subset, *DEFAULT_GRIDS)
+        assert expected[2] < 1.0
         calls = record_training(monkeypatch)
+        reuse = svm._at_larger_C
+        reused = []
+        monkeypatch.setattr(svm, "_at_larger_C",
+                            lambda model, C: reused.append(C) or reuse(model, C))
         assert grid_search(d, subset) == expected
         assert len(calls) < len(svm.DEFAULT_C_GRID) * len(svm.DEFAULT_GAMMA_GRID) * 5
         first_exact = {}
@@ -307,7 +315,7 @@ class TestGridReuse:
             assert (split, gamma) not in first_exact, "a reusable cell was trained again"
             if outcome is True:
                 first_exact[split, gamma] = C
-        assert first_exact
+        assert first_exact and reused
 
     def test_failed_cells_score_zero_and_are_trained_again(self, monkeypatch):
         monkeypatch.setattr(svm, "MAX_ITER", 40)
@@ -355,3 +363,65 @@ class TestGridReuse:
             np.testing.assert_array_equal(large.coeffs, small.coeffs[:2])
             np.testing.assert_array_equal(large.support_samples, small.support_samples[:2])
             assert large.bias == small.bias
+
+
+# A 5 x 4 subgrid of the default range, corners included.
+SCAN_GRIDS = ((2.0 ** -5, 2.0 ** -1, 2.0 ** 3, 2.0 ** 7, 2.0 ** 15),
+              (2.0 ** -15, 2.0 ** -7, 2.0 ** -3, 2.0 ** 1))
+SCAN_DATA = {
+    # the 5 vote features separate the classes with a margin
+    "separable": (make_benchmark_dataset(m=40, n=30, seed=4), (0, 1, 2, 3, 4)),
+    "noisy": (with_flipped_labels(make_benchmark_dataset(m=40, n=30, seed=5), (2, 9, 31)),
+              (0, 1, 2, 5, 6, 7)),
+    # 37 rows: no fold count below divides them evenly
+    "uneven": (with_flipped_labels(make_benchmark_dataset(m=37, n=30, seed=6), (4, 20)),
+               (0, 3, 10, 11)),
+}
+
+
+class TestBoundedScan:
+    """grid_search stops a cell once it cannot beat the best accuracy, and answers
+    as the every-cell scan does."""
+
+    @pytest.mark.parametrize("folds", [2, 3, 5])
+    @pytest.mark.parametrize("data", sorted(SCAN_DATA))
+    @pytest.mark.parametrize("max_iter", [svm.MAX_ITER, 40])
+    def test_equals_training_every_cell(self, monkeypatch, data, folds, max_iter):
+        monkeypatch.setattr(svm, "MAX_ITER", max_iter)
+        d, subset = SCAN_DATA[data]
+        calls = record_training(monkeypatch)
+        expected = grid_search_every_cell(d, subset, *SCAN_GRIDS, folds=folds)
+        every = len(calls)
+        assert any(outcome == "failed" for *_, outcome in calls) == (max_iter == 40)
+        assert grid_search(d, subset, *SCAN_GRIDS, folds=folds) == expected
+        assert len(calls) - every < every
+
+    def test_no_training_after_a_perfect_cell(self, monkeypatch):
+        d, subset = SCAN_DATA["separable"]
+        calls = record_training(monkeypatch)
+        C, gamma, acc = grid_search(d, subset)
+        assert acc == 1.0
+        cells = [(c, g) for c in sorted(svm.DEFAULT_C_GRID) for g in sorted(svm.DEFAULT_GAMMA_GRID)]
+        perfect = cells.index((C, gamma))
+        assert perfect < len(cells) - 1
+        assert max(cells.index((c, g)) for _, c, g, _ in calls) == perfect
+
+    def test_a_candidate_stops_once_it_can_only_tie(self):
+        # After a's 2.5 of 3, b at 0.5 can reach 2.5 at most (a tie, which keeps
+        # a), so its last two splits are skipped; c at 0.6 can still win and is
+        # scored to the end.  A failing candidate scores 0.
+        d = wide_margin_dataset(m=30)  # three splits of 10 rows
+        table = {"a": (1.0, 0.5, 1.0), "b": (0.5, 1.0, 1.0), "c": (0.6, 1.0, 0.8)}
+        scored = []
+
+        def predict(name, s, train, test):
+            scored.append((name, s))
+            if name == "fails":
+                return None
+            right = round(table[name][s] * test.n_samples)
+            return np.where(np.arange(test.n_samples) < right, test.labels, -test.labels)
+
+        assert svm.first_best(d, 3, 42, ["fails", "a", "b", "c"], predict) == ("a", 2.5 / 3)
+        assert scored == [("fails", 0), ("a", 0), ("a", 1), ("a", 2), ("b", 0),
+                          ("c", 0), ("c", 1), ("c", 2)]
+        assert svm.first_best(d, 3, 42, ["fails"], predict) == ("fails", 0.0)
