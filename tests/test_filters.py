@@ -55,11 +55,19 @@ class TestReliefF:
     def test_equals_per_anchor_scan_on_wide_tied_data(self, seed):
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(24, 50)), int(rng.integers(500, 4000))
-        # three levels per cell tie many distances; a repeated row ties every one
-        X = rng.integers(0, 3, size=(m, n)).astype(np.float64)
-        if seed % 2:
-            X += rng.normal(size=(m, n)) * (rng.random(n) < 0.3)
-        X[1] = X[0]
+        if seed % 3 == 2:
+            # Every row sits at a permutation of the same offsets from row 0, so
+            # its distances to row 0 tie up to rounding, and the neighbors of
+            # row 0 depend on the order in which each distance is summed.
+            offsets = rng.normal(size=n)
+            X = offsets[np.argsort(rng.random((m, n)), axis=1)] * rng.choice([-1.0, 1.0], (m, n))
+            X[0] = 0.0
+        else:
+            # three levels per cell tie many distances exactly
+            X = rng.integers(0, 3, size=(m, n)).astype(np.float64)
+            if seed % 3:
+                X += rng.normal(size=(m, n)) * (rng.random(n) < 0.3)
+        X[1] = X[2]  # a repeated row ties every distance to it
         half = m // 2
         d = make_dataset(X, [1] * half + [-1] * (m - half))
         k = int(rng.integers(1, 11))

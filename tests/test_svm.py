@@ -401,7 +401,8 @@ class TestBoundedScan:
         calls = record_training(monkeypatch)
         C, gamma, acc = grid_search(d, subset)
         assert acc == 1.0
-        cells = [(c, g) for c in sorted(svm.DEFAULT_C_GRID) for g in sorted(svm.DEFAULT_GAMMA_GRID)]
+        cells = [(c, g) for c in sorted(svm.DEFAULT_C_GRID)
+                 for g in sorted(svm.DEFAULT_GAMMA_GRID)]
         perfect = cells.index((C, gamma))
         assert perfect < len(cells) - 1
         assert max(cells.index((c, g)) for _, c, g, _ in calls) == perfect
