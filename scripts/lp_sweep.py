@@ -4,7 +4,8 @@
 
 Each checkout runs in a Python process of its own, with one BLAS thread as
 in the benchmark, on its own `src/` and `pipebench/inputs.py`.  Two kinds of
-LP are solved, each through `mcmfs.mcm.train_mcm` with its defaults (C = 1):
+LP are solved, each through `mcmfs.mcm.train_mcm` with C = 1 and the MCM
+variant of --variant (the paper's by default):
 
 - wide: for each seed s and set i < 4, the planted set `[s, 72, 7129, i]`
   of the `pipeline-72x7129` workload (as many rows again held out), written
@@ -71,14 +72,17 @@ def produce(tree: str, args) -> None:
     def train(name, d):
         ds = data.apply_standardizer(data.fit_standardizer(d), d)
         try:
-            model = mcm.train_mcm(ds)
+            model = mcm.train_mcm(ds, variant=args.variant)
         except (ArithmeticError, mcm.McmTrainingError) as exc:
             out = {"lp": name, "error": f"{type(exc).__name__}: {exc}"}
         else:
-            # The largest violation of an LP row or bound by the returned point.
-            u = ds.labels * (ds.samples @ model.weights + model.bias) + model.slacks
+            # The largest violation of an LP row or bound by the returned point;
+            # the classic variant's capacity rows leave the slack out.
+            margin = ds.labels * (ds.samples @ model.weights + model.bias)
+            u = margin + model.slacks
+            capped = u if args.variant == mcm.VARIANT_PAPER else margin
             violation = float(np.max(np.concatenate(
-                [1.0 - u, u - model.capacity, -model.slacks, [-model.capacity]])))
+                [1.0 - u, capped - model.capacity, -model.slacks, [-model.capacity]])))
             out = {"lp": name, "selected": list(model.selected),
                    "objective": model.objective_value, "pivots": model.lp_iterations,
                    "violation": violation}
@@ -149,6 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wide-shape", type=shape, default=(72, 7129), help="training rows x features")
     p.add_argument("--fold-seeds", default="1-60", help="first-last seed of the fold sets")
     p.add_argument("--fold-shape", type=shape, default=(100, 200), help="rows x features")
+    p.add_argument("--variant", choices=("paper", "classic"), default="paper",
+                   help="MCM variant of every LP")
     return p
 
 

@@ -20,14 +20,20 @@ _TABLE_CELLS = 1 << 20  # caps one SU block's joint counts at 8 MB
 
 @dataclass(frozen=True)
 class DiscreteDataset:
-    """Per-feature bin identifiers (0..bins-1 each) plus the original labels."""
+    """Per-feature bin identifiers (0..bins-1 each) plus the original labels.
+
+    Integer identifiers keep their type, so narrow codes stay narrow; any
+    other type is converted to int64.
+    """
 
     samples: np.ndarray
     bins_per_feature: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.int64, ndmin=2)
+        samples = np.array(self.samples, ndmin=2)
+        if samples.dtype.kind not in "iu":
+            samples = samples.astype(np.int64)
         bins = np.array(self.bins_per_feature, dtype=np.int64)
         labels = np.array(self.labels, dtype=np.int64)
         m, n = samples.shape
@@ -124,13 +130,15 @@ def discretize_equal_frequency(d: Dataset, bins: int = 10) -> DiscreteDataset:
         raise ValueError("bins must be at least 2")
     X = d.samples
     M, n = X.shape
-    raw = np.zeros((M, n), dtype=np.int64)
+    code = np.min_scalar_type(bins - 1)   # the narrowest type that holds every bin id
+    raw = np.zeros((M, n), dtype=code)
     for b in np.quantile(X, np.arange(1, bins) / bins, axis=0):
         raw += b <= X
-    cols = np.arange(n)
-    present = np.zeros((bins, n), dtype=np.int64)
-    present[raw, cols] = 1
-    ids = (np.cumsum(present, axis=0) - 1)[raw, cols]
+    present = np.stack([(raw == v).any(axis=0) for v in range(bins)])
+    # dense rank: each bin id below a value's that no value takes lowers it by one
+    ids = raw.copy()
+    for v in range(bins - 1):
+        ids -= (raw > v) & ~present[v]
     return DiscreteDataset(ids, present.sum(axis=0), d.labels)
 
 

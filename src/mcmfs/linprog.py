@@ -92,21 +92,69 @@ class LpSolution:
     duals: np.ndarray | None = None
 
 
+class _PairedRun:
+    """The longest run of standard-form columns on which rows 2i and 2i+1 agree.
+
+    A sample's capacity and margin rows in the MCM LP share every column but
+    h, their slacks and their artificial, so half of the stored matrix repeats
+    the other half.  Standard-form columns s..e-1 are priced from half the
+    rows, (y[0::2] + y[1::2]) @ W, where W keeps rows 0, 2, 4, ... of the
+    stored columns lo..hi-1 that lie in the run.  The run is found from the
+    matrix values in standard-form order, whatever is free, so an LP and its
+    twin split by hand price every column alike.  A negated copy is priced
+    from its partner; one on the other side of the run's edge than its
+    partner is priced from its own entries, in `half_at` or `full_at`.
+    """
+
+    def __init__(self, S, at, free_idx, s, e):
+        n_free = free_idx.size
+        # the first stored column at or after standard-form position s, and e
+        self.lo, self.hi = (int(v) if v <= at else max(int(v) - n_free, at) for v in (s, e))
+        self.W = S[0::2, self.lo:self.hi].copy()
+        copy_at = at + np.arange(n_free)
+        copy_in = (copy_at >= s) & (copy_at < e)
+        partner_in = (free_idx >= self.lo) & (free_idx < self.hi)
+        half, full = copy_in & ~partner_in, partner_in & ~copy_in
+        self.half_at, self.half_cols = at + np.flatnonzero(half), S[0::2][:, free_idx[half]]
+        self.full_at, self.full_cols = at + np.flatnonzero(full), S[:, free_idx[full]]
+
+    @classmethod
+    def find(cls, S, at, free_idx):
+        """The run of S, or None when the row count is odd or no column pairs up."""
+        R = S.shape[0]
+        if R < 2 or R % 2:
+            return None
+        same = (S[0::2] == S[1::2]).all(axis=0)
+        std = np.concatenate([[False], same[:at], same[free_idx], same[at:], [False]])
+        edges = np.flatnonzero(std[1:] != std[:-1])
+        if edges.size == 0:
+            return None
+        starts, ends = edges[0::2], edges[1::2]
+        k = int(np.argmax(ends - starts))
+        return cls(S, at, free_idx, starts[k], ends[k])
+
+
 class _SimplexState:
     """Mutable basis bookkeeping: columns, b, current basis, its inverse, basic values.
 
     S stores the LP's variables, then slacks, then artificials.  The standard
     form splits each free x_j into x_j+ - x_j-: column at + k is the negated
     copy -S[:, free_idx[k]], gathered when needed and priced from its partner,
-    and the stored columns from `at` on follow the copies.
+    and the stored columns from `at` on follow the copies.  `run`, a
+    _PairedRun or None, prices its columns from half the rows.
     """
 
-    def __init__(self, S, b, basis, at, free_idx):
+    def __init__(self, S, b, basis, at, free_idx, run):
         self.S = S
         self.b = b
         self.at = at
         self.free_idx = free_idx
+        self.run = run
         self.src = np.concatenate([np.arange(at), free_idx, np.arange(at, S.shape[1])])
+        contiguous = free_idx.size and free_idx[-1] - free_idx[0] + 1 == free_idx.size
+        self.partners = slice(free_idx[0], free_idx[-1] + 1) if contiguous else free_idx
+        self._p = np.empty(S.shape[1])
+        self._out = np.empty(self.n_cols)
         self.basis = np.array(basis, dtype=np.int64)
         self.refactor()
 
@@ -128,9 +176,26 @@ class _SimplexState:
         return -col if self._negated(j) else col
 
     def products(self, y):
-        """y @ A over every standard-form column; a negated copy's is its partner's, negated."""
-        p = y @ self.S
-        return np.concatenate([p[:self.at], -p[self.free_idx], p[self.at:]])
+        """y @ A over every standard-form column, in a buffer that the next call overwrites.
+
+        A negated copy's product is its partner's, negated.
+        """
+        p, out, run = self._p, self._out, self.run
+        if run is None:
+            np.matmul(y, self.S, out=p)
+        else:
+            y2 = y[0::2] + y[1::2]
+            np.matmul(y, self.S[:, :run.lo], out=p[:run.lo])
+            np.matmul(y2, run.W, out=p[run.lo:run.hi])
+            np.matmul(y, self.S[:, run.hi:], out=p[run.hi:])
+        at, n_free = self.at, self.free_idx.size
+        out[:at] = p[:at]
+        np.negative(p[self.partners], out=out[at:at + n_free])
+        out[at + n_free:] = p[at:]
+        if run is not None and (run.half_at.size or run.full_at.size):
+            out[run.half_at] = -(y2 @ run.half_cols)
+            out[run.full_at] = -(y @ run.full_cols)
+        return out
 
     def refactor(self):
         try:
@@ -141,7 +206,7 @@ class _SimplexState:
 
     def pivot(self, r, j, u, theta):
         er = self.Binv[r] / u[r]
-        self.Binv -= np.outer(u, er)
+        self.Binv -= u[:, None] * er
         self.Binv[r] = er
         xB = self.xB - theta * u
         xB[r] = theta
@@ -200,7 +265,8 @@ def _drive_out_artificials(state: _SimplexState, n_real: int) -> _SimplexState:
     """Pivot zero-level artificials out of the basis; drop rows that prove redundant.
 
     The returned state stores the columns of S before the artificials, a view
-    of S itself when no row is dropped.
+    of S itself when no row is dropped; it keeps the paired run then, which
+    holds no artificial, and prices every column with the full rows otherwise.
     """
     m = state.S.shape[0]
     redundant = []
@@ -220,8 +286,11 @@ def _drive_out_artificials(state: _SimplexState, n_real: int) -> _SimplexState:
         state.pivot(r, j, u, state.xB[r] / u[r])
     n_stored = n_real - state.free_idx.size
     keep = [r for r in range(m) if r not in set(redundant)]
-    S = state.S[:, :n_stored] if not redundant else state.S[keep][:, :n_stored]
-    return _SimplexState(S, state.b[keep], state.basis[keep], state.at, state.free_idx)
+    if not redundant:
+        return _SimplexState(state.S[:, :n_stored], state.b, state.basis, state.at,
+                             state.free_idx, state.run)
+    return _SimplexState(state.S[keep][:, :n_stored], state.b[keep], state.basis[keep],
+                         state.at, state.free_idx, None)
 
 
 def _violation(lp: LinearProgram, x: np.ndarray) -> float:
@@ -278,7 +347,7 @@ def solve_lp(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9,
     c_real = np.concatenate([lp.c[:at], -lp.c[free_idx], lp.c[at:], np.zeros(len(ineq_rows))])
 
     pivots_used = 0
-    state = _SimplexState(S, b, basis, at, free_idx)
+    state = _SimplexState(S, b, basis, at, free_idx, _PairedRun.find(S, at, free_idx))
     # phase-1 infeasibility and the final point's row or bound violation
     violation_tol = 1e3 * feas_tol * max(1.0, float(np.abs(b).max(initial=0.0)))
 

@@ -340,6 +340,7 @@ def _entropy(counts):
 
 def su_codes(x, y):
     """Symmetrical uncertainty of two integer-coded columns from their joint table."""
+    x, y = (np.asarray(v, dtype=np.int64) for v in (x, y))   # narrow codes would wrap
     nx = int(x.max()) + 1
     ny = int(y.max()) + 1
     joint = np.bincount(x * ny + y, minlength=nx * ny).reshape(nx, ny)

@@ -295,6 +295,27 @@ class TestVectorizedMatchesLoops:
         assert np.array_equal(dd.samples, ids)
         assert np.array_equal(dd.bins_per_feature, counts)
 
+    @pytest.mark.parametrize("bins", [255, 256, 257, 300])
+    def test_discretize_many_bins_in_narrow_codes(self, bins):
+        # bin ids up to 255 fit one byte, more take two; ids equal the loop's
+        rng = np.random.default_rng(bins)
+        X = rng.normal(size=(400, 3))
+        X[:, 1] = np.round(X[:, 1], 1)  # repeated values merge bins
+        dd = discretize_equal_frequency(make_dataset(X, [1] * 400), bins=bins)
+        ids, counts = discretize_columnwise(X, bins)
+        assert dd.samples.itemsize == (1 if bins <= 256 else 2)
+        assert np.array_equal(dd.samples, ids)
+        assert np.array_equal(dd.bins_per_feature, counts)
+
+    def test_fcbf_on_narrow_codes_matches_pairwise_with_many_bins(self):
+        rng = np.random.default_rng(8)
+        y = np.where(rng.random(300) < 0.5, 1, -1)
+        X = rng.normal(size=(300, 6)) + y[:, None] * np.linspace(0.0, 1.5, 6)
+        X[:, 5] = X[:, 4] * 2.0
+        dd = discretize_equal_frequency(make_dataset(X, y), bins=40)
+        assert dd.samples.itemsize == 1
+        assert fcbf_select(dd) == fcbf_pairwise(dd.samples, dd.labels)
+
     @given(st.integers(0, 10_000))
     def test_su_equals_scalar_su_in_both_orientations(self, seed):
         X = random_codes(np.random.default_rng(seed))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mcmfs import linprog
 from mcmfs.linprog import (
     EQ,
     GE,
@@ -229,3 +230,151 @@ class TestFreeColumnsStoredOnce:
                                 ref.x[2 * hi - lo:]])
             np.testing.assert_array_equal(sol.x, x)
             assert sol.objective_value == ref.objective_value
+
+
+def paired_lp_matrix(rng, pairs, V, unequal=0.3):
+    """Entries in (-0.4, 0.4); row pairs equal on every column but a random share `unequal`."""
+    A = rng.uniform(-0.4, 0.4, size=(2 * pairs, V))
+    A[1::2] = A[0::2]
+    differ = rng.random((pairs, V)) < unequal
+    A[1::2][differ] = rng.uniform(-0.4, 0.4, size=int(differ.sum()))
+    return A
+
+
+def slack_basis_state(A, free):
+    """The simplex state of rows A x <= 1 at the slack basis, stored as `solve_lp` stores it."""
+    R, V = A.shape
+    free_idx = np.flatnonzero(free)
+    at = int(free_idx[-1]) + 1 if free_idx.size else V
+    S = np.hstack([A, np.eye(R)])
+    return linprog._SimplexState(S, np.ones(R), V + free_idx.size + np.arange(R), at, free_idx,
+                                 linprog._PairedRun.find(S, at, free_idx))
+
+
+def standard_form(A, free):
+    """The standard-form columns: the negated copies follow the last free variable."""
+    free_idx = np.flatnonzero(free)
+    at = int(free_idx[-1]) + 1 if free_idx.size else A.shape[1]
+    return np.hstack([A[:, :at], -A[:, free_idx], A[:, at:], np.eye(A.shape[0])])
+
+
+def longest_paired_run(std):
+    """Mask of the first longest run of columns on which rows 2i and 2i+1 agree."""
+    mask = np.zeros(std.shape[1], dtype=bool)
+    if std.shape[0] % 2:
+        return mask
+    best, start = (0, 0), None
+    for j in range(std.shape[1] + 1):
+        agree = j < std.shape[1] and all(std[2 * i, j] == std[2 * i + 1, j]
+                                         for i in range(std.shape[0] // 2))
+        if agree and start is None:
+            start = j
+        elif not agree and start is not None:
+            if j - start > best[1] - best[0]:
+                best = (start, j)
+            start = None
+    mask[best[0]:best[1]] = True
+    return mask
+
+
+def priced_from_summed_rows(state, pair):
+    """Mask of the columns priced from rows 2*pair and 2*pair + 1 summed.
+
+    Both rows' prices are 1e308 and every entry lies in (-0.4, 0.4): the
+    summed price overflows to inf, so the product is inf or nan, while a
+    product over the full rows stays below 0.8e308, in any summation order.
+    """
+    y = np.zeros(state.S.shape[0])
+    y[2 * pair:2 * pair + 2] = 1e308
+    return ~np.isfinite(state.products(y))
+
+
+class TestPairedRows:
+    # Rows 2i and 2i+1 that agree on a run of standard-form columns price that
+    # run from their sum: (y[2i] + y[2i+1]) * a instead of y[2i] * a + y[2i+1] * a.
+    # The run is found in standard-form order, so the LP split by hand, which
+    # stores the negated copies, prices the same columns from the summed rows.
+    @given(st.integers(0, 2**32 - 1))
+    def test_prices_like_the_lp_split_by_hand(self, seed):
+        rng = np.random.default_rng(seed)
+        A = paired_lp_matrix(rng, int(rng.integers(1, 4)), int(rng.integers(1, 9)))
+        free = rng.random(A.shape[1]) < 0.5
+        std = standard_form(A, free)
+        state = slack_basis_state(A, free)
+        twin = slack_basis_state(std[:, :-A.shape[0]], np.zeros(std.shape[1] - A.shape[0], bool))
+        for pair in range(A.shape[0] // 2):
+            expected = longest_paired_run(std)
+            np.testing.assert_array_equal(priced_from_summed_rows(state, pair), expected)
+            np.testing.assert_array_equal(priced_from_summed_rows(twin, pair), expected)
+        y = rng.normal(size=A.shape[0])
+        np.testing.assert_allclose(state.products(y), y @ std, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(twin.products(y), y @ std, rtol=1e-13, atol=1e-15)
+
+    def test_copy_in_the_run_apart_from_its_partner(self):
+        # x0 and x2 are free, and the rows agree on x0, x2 and x3 but not x1:
+        # the standard form x0 x1 x2 -x0 -x2 x3 pairs as Y N Y Y Y Y, so -x0
+        # lies in the run while x0 does not.
+        A = paired_lp_matrix(np.random.default_rng(1), 2, 4, unequal=0.0)
+        A[3, 1] += 0.1
+        state = slack_basis_state(A, [True, False, True, False])
+        assert (state.run.lo, state.run.hi) == (2, 4)
+        np.testing.assert_array_equal(state.run.W, A[0::2, 2:4])
+        np.testing.assert_array_equal(state.run.half_at, [3])
+        assert state.run.full_at.size == 0
+        assert priced_from_summed_rows(state, 1)[:6].tolist() == [False, False] + [True] * 4
+
+    def test_copy_outside_the_run_apart_from_its_partner(self):
+        # x0 x1 -x0 -x1 pairs as N Y N Y: the first of the two longest runs, x1,
+        # is priced from the summed rows, and -x1 from the full rows.
+        A = paired_lp_matrix(np.random.default_rng(2), 1, 2, unequal=0.0)
+        A[1, 0] += 0.1
+        state = slack_basis_state(A, [True, True])
+        assert (state.run.lo, state.run.hi) == (1, 2)
+        np.testing.assert_array_equal(state.run.full_at, [3])
+        assert priced_from_summed_rows(state, 0)[:4].tolist() == [False, True, False, False]
+
+    def test_without_paired_rows_every_column_is_priced_from_the_full_rows(self):
+        A = paired_lp_matrix(np.random.default_rng(3), 2, 5, unequal=1.0)
+        assert slack_basis_state(A, np.zeros(5, dtype=bool)).run is None
+        assert slack_basis_state(np.ones((3, 4)), np.zeros(4, dtype=bool)).run is None
+
+    def test_one_unequal_entry_is_priced_from_the_full_rows(self, monkeypatch):
+        # The two rows of pair 2 differ on x3 only: the run stops before x3,
+        # x3 is priced from the full rows, and the solve pivots as one that
+        # prices every column from the full rows.
+        rng = np.random.default_rng(5)
+        A = paired_lp_matrix(rng, 3, 6, unequal=0.0)
+        A[5, 3] += 0.1
+        state = slack_basis_state(A, np.zeros(6, dtype=bool))
+        assert (state.run.lo, state.run.hi) == (0, 3)
+        assert not priced_from_summed_rows(state, 2)[3]
+        lp = LinearProgram(rng.uniform(-1.0, 1.0, size=6), A, (LE, GE) * 3,
+                           np.tile([1.0, -1.0], 3), np.zeros(6, dtype=bool))
+        sol = solve_lp(lp)
+        monkeypatch.setattr(linprog._PairedRun, "find", staticmethod(lambda *args: None))
+        ref = solve_lp(lp)
+        assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+        assert sol.objective_value == pytest.approx(ref.objective_value, rel=1e-12)
+
+    def test_redundant_row_dropped_in_drive_out_prices_from_the_full_rows(self, monkeypatch):
+        # Rows 0 and 1 are the same equality: phase 1 ends with an artificial
+        # of one of them basic at zero, and the drive-out drops its row.
+        lp = lp_of([1.0, 2.0, 0.5], [([1.0, 1.0, 2.0], EQ, 2.0), ([1.0, 1.0, 2.0], EQ, 2.0),
+                                     ([1.0, -1.0, 0.0], LE, 1.0), ([1.0, -1.0, 0.0], GE, 0.0)])
+        seen = []
+        drive_out = linprog._drive_out_artificials
+
+        def spy(state, n_real):
+            seen.append(state.run)
+            seen.append(drive_out(state, n_real))
+            return seen[-1]
+
+        monkeypatch.setattr(linprog, "_drive_out_artificials", spy)
+        sol = solve_lp(lp)
+        before, after = seen
+        assert (before.lo, before.hi) == (0, 3)
+        assert after.S.shape[0] == 3 and after.run is None
+        status, best = enumerate_orthant_lp(lp.c, lp.A, lp.rel, lp.b)
+        assert (sol.status.value, status) == ("Optimal", "Optimal")
+        assert sol.objective_value == pytest.approx(best, abs=1e-9)
+        assert sol.duals is None

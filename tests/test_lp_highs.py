@@ -5,7 +5,7 @@ import pytest
 
 from mcmfs.data import apply_standardizer, fit_standardizer, stratified_kfold
 from mcmfs.linprog import EQ, LE, LpStatus, solve_lp
-from mcmfs.mcm import build_mcm_lp
+from mcmfs.mcm import VARIANT_CLASSIC, VARIANT_PAPER, build_mcm_lp
 from support import make_benchmark_dataset
 
 optimize = pytest.importorskip(
@@ -23,15 +23,14 @@ def highs_optimum(lp) -> float:
     return float(res.fun)
 
 
-CASES = ["100x200 full", *(f"100x200 fold {f}" for f in range(5)), "72x7129 full"]
+CASES = ["100x200 full", *(f"100x200 fold {f}" for f in range(5)), "72x7129 full",
+         "62x2000 full"]
 
 
 def mcm_training_set(case):
     """The standardized training set of `case`: full data or a training split of 5 folds."""
-    if case.startswith("72x7129"):
-        d = make_benchmark_dataset(m=72, n=7129)
-    else:
-        d = make_benchmark_dataset()
+    m, n = (int(v) for v in case.split()[0].split("x"))
+    d = make_benchmark_dataset(m=m, n=n)
     if "fold" in case:
         f = int(case.split()[-1])
         d = d.take(np.flatnonzero(stratified_kfold(d, 5, 42).assignments != f))
@@ -41,6 +40,19 @@ def mcm_training_set(case):
 @pytest.mark.parametrize("case", CASES)
 def test_mcm_lp_objective_matches_highs(case):
     lp = build_mcm_lp(mcm_training_set(case))
+    sol = solve_lp(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(highs_optimum(lp), rel=1e-9, abs=0.0)
+
+
+# The classic variant leaves q out of the capacity rows, so its q columns are
+# not shared by a sample's two rows and are priced from the full rows; the
+# hard margin LP has no q.
+@pytest.mark.parametrize("case", ["100x200 full", "100x200 fold 2", "72x7129 full"])
+@pytest.mark.parametrize("variant,hard_margin", [(VARIANT_CLASSIC, False), (VARIANT_PAPER, True)],
+                         ids=["classic", "hard-margin"])
+def test_other_variants_match_highs(case, variant, hard_margin):
+    lp = build_mcm_lp(mcm_training_set(case), variant=variant, hard_margin=hard_margin)
     sol = solve_lp(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(highs_optimum(lp), rel=1e-9, abs=0.0)

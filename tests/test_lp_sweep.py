@@ -1,6 +1,7 @@
 """scripts/lp_sweep.py on tiny shapes: this tree against itself and against a mutated copy."""
 
 import importlib.util
+import json
 import os
 import shutil
 
@@ -62,3 +63,24 @@ def test_mismatches_are_listed(tmp_path, capsys):
     assert any(line.startswith("objective differs: wide 1 3: ") for line in out)
     assert out[-1].startswith("9 LPs: parent failed 0 (infeasible 0), change failed 5 "
                               "(infeasible 4), both solved 4 ")
+
+
+def produced(tree, argv, capsys):
+    """The JSON line of each LP that `tree` trains under `argv`, by LP name."""
+    lp_sweep.produce(tree, lp_sweep.build_parser().parse_args([tree, tree, *argv]))
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    return {r["lp"]: r for r in rows}
+
+
+def test_classic_variant(tmp_path, capsys):
+    tree = copy_tree(tmp_path / "a")
+    code = lp_sweep.main([tree, copy_tree(tmp_path / "b"), *TINY, "--variant", "classic"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.splitlines()[-1].startswith(
+        "9 LPs: parent failed 0 (infeasible 0), change failed 0 (infeasible 0), both solved 9 ")
+    paper, classic = produced(tree, TINY, capsys), produced(tree, [*TINY, "--variant", "classic"],
+                                                            capsys)
+    assert paper.keys() == classic.keys()
+    assert any(paper[k]["objective"] != classic[k]["objective"] for k in paper)
+    assert max(r["violation"] for r in classic.values()) <= lp_sweep.FEAS_TOL

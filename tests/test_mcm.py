@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mcmfs import linprog
 from mcmfs.data import DataError, Standardizer, apply_standardizer, fit_standardizer
 from mcmfs.linprog import GE, LE, LinearProgram, LpStatus, solve_lp
 from mcmfs.mcm import (
@@ -23,7 +24,7 @@ from mcmfs.mcm import (
     train_mcm,
     vc_bound_term,
 )
-from oracles import margin_machine_optimum
+from oracles import enumerate_orthant_lp, margin_machine_optimum
 from support import make_dataset, margin_ratio, random_two_class
 
 TINY_PAIR = make_dataset([[1.0], [-1.0]], [1, -1])
@@ -125,6 +126,47 @@ class TestStandardFormOrder:
                                 ref.x[2 * n + 1:]])
             np.testing.assert_array_equal(sol.x, x)
             assert sol.objective_value == ref.objective_value
+
+
+def record_paired_runs(monkeypatch):
+    """The stored columns lo..hi-1 of each paired run `solve_lp` finds, None for none."""
+    runs = []
+    find = linprog._PairedRun.find
+
+    def spy(S, at, free_idx):
+        run = find(S, at, free_idx)
+        runs.append(None if run is None else (run.lo, run.hi))
+        return run
+
+    monkeypatch.setattr(linprog._PairedRun, "find", staticmethod(spy))
+    return runs
+
+
+class TestPairedPricing:
+    # A sample's capacity and margin rows share w, b+, b- and, in the paper
+    # variant, its q: those columns are priced from half the rows.
+    @pytest.mark.parametrize("variant,hard_margin", [
+        (VARIANT_PAPER, False), (VARIANT_CLASSIC, False), (VARIANT_PAPER, True),
+    ], ids=["paper", "classic", "hard-margin"])
+    def test_shared_columns_priced_from_half_the_rows(self, monkeypatch, variant, hard_margin):
+        runs = record_paired_runs(monkeypatch)
+        rng = np.random.default_rng(17)
+        shapes = [(3, 2), (4, 3), (4, 3), (3, 1)]
+        for m_samples, n in shapes:
+            d = random_two_class(rng, m=m_samples, n=n)
+            if hard_margin and m_samples > n + 1:
+                d = make_dataset(d.samples, np.where(d.samples[:, 0] > 0.0, 1, -1))
+            model = train_mcm(d, C=1.0, variant=variant, hard_margin=hard_margin)
+            if hard_margin:
+                lp = split_by_hand(build_mcm_lp(d, hard_margin=True), n)
+                status, oracle = enumerate_orthant_lp(lp.c, lp.A, lp.rel, lp.b)
+                assert status == "Optimal"
+            else:
+                oracle = margin_machine_optimum(d.samples, d.labels, 1.0,
+                                                paper_variant=variant == VARIANT_PAPER)
+            assert model.objective_value == pytest.approx(oracle, abs=1e-6)
+        q_paired = variant == VARIANT_PAPER and not hard_margin
+        assert runs == [(1, n + 3 + (m_samples if q_paired else 0)) for m_samples, n in shapes]
 
 
 class TestTraining:
