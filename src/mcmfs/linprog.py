@@ -108,7 +108,7 @@ class _PairedRun:
 
     def __init__(self, S, at, free_idx, s, e):
         n_free = free_idx.size
-        # the first stored column at or after standard-form position s, and e
+        # stored columns lo..hi-1 are those whose standard-form position lies in s..e-1
         self.lo, self.hi = (int(v) if v <= at else max(int(v) - n_free, at) for v in (s, e))
         self.W = S[0::2, self.lo:self.hi].copy()
         copy_at = at + np.arange(n_free)

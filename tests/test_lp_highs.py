@@ -23,36 +23,29 @@ def highs_optimum(lp) -> float:
     return float(res.fun)
 
 
+# The classic variant leaves q out of the capacity rows, so its q columns are
+# not shared by a sample's two rows and are priced from the full rows; the
+# hard margin LP has no q.
 CASES = ["100x200 full", *(f"100x200 fold {f}" for f in range(5)), "72x7129 full",
-         "62x2000 full"]
+         "62x2000 full", *(f"{case} {variant}" for variant in ("classic", "hard-margin")
+                           for case in ("100x200 full", "100x200 fold 2", "72x7129 full"))]
 
 
 def mcm_training_set(case):
     """The standardized training set of `case`: full data or a training split of 5 folds."""
-    m, n = (int(v) for v in case.split()[0].split("x"))
+    shape, split, *rest = case.split()
+    m, n = (int(v) for v in shape.split("x"))
     d = make_benchmark_dataset(m=m, n=n)
-    if "fold" in case:
-        f = int(case.split()[-1])
+    if split == "fold":
+        f = int(rest[0])
         d = d.take(np.flatnonzero(stratified_kfold(d, 5, 42).assignments != f))
     return apply_standardizer(fit_standardizer(d), d)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_mcm_lp_objective_matches_highs(case):
-    lp = build_mcm_lp(mcm_training_set(case))
-    sol = solve_lp(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(highs_optimum(lp), rel=1e-9, abs=0.0)
-
-
-# The classic variant leaves q out of the capacity rows, so its q columns are
-# not shared by a sample's two rows and are priced from the full rows; the
-# hard margin LP has no q.
-@pytest.mark.parametrize("case", ["100x200 full", "100x200 fold 2", "72x7129 full"])
-@pytest.mark.parametrize("variant,hard_margin", [(VARIANT_CLASSIC, False), (VARIANT_PAPER, True)],
-                         ids=["classic", "hard-margin"])
-def test_other_variants_match_highs(case, variant, hard_margin):
-    lp = build_mcm_lp(mcm_training_set(case), variant=variant, hard_margin=hard_margin)
+    lp = build_mcm_lp(mcm_training_set(case), hard_margin=case.endswith("hard-margin"),
+                      variant=VARIANT_CLASSIC if case.endswith("classic") else VARIANT_PAPER)
     sol = solve_lp(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(highs_optimum(lp), rel=1e-9, abs=0.0)
