@@ -22,8 +22,8 @@ _TABLE_CELLS = 1 << 20  # caps one SU block's joint counts at 8 MB
 class DiscreteDataset:
     """Per-feature bin identifiers (0..bins-1 each) plus the original labels.
 
-    Integer identifiers keep their type, so narrow codes stay narrow; any
-    other type is converted to int64.
+    Integer identifiers that int64 holds keep their type, so narrow codes
+    stay narrow; any other type (uint64 among them) is converted to int64.
     """
 
     samples: np.ndarray
@@ -32,7 +32,7 @@ class DiscreteDataset:
 
     def __post_init__(self):
         samples = np.array(self.samples, ndmin=2)
-        if samples.dtype.kind not in "iu":
+        if samples.dtype.kind not in "iu" or not np.can_cast(samples.dtype, np.int64):
             samples = samples.astype(np.int64)
         bins = np.array(self.bins_per_feature, dtype=np.int64)
         labels = np.array(self.labels, dtype=np.int64)

@@ -151,8 +151,6 @@ class _SimplexState:
         self.free_idx = free_idx
         self.run = run
         self.src = np.concatenate([np.arange(at), free_idx, np.arange(at, S.shape[1])])
-        contiguous = free_idx.size and free_idx[-1] - free_idx[0] + 1 == free_idx.size
-        self.partners = slice(free_idx[0], free_idx[-1] + 1) if contiguous else free_idx
         self._p = np.empty(S.shape[1])
         self._out = np.empty(self.n_cols)
         self.basis = np.array(basis, dtype=np.int64)
@@ -190,7 +188,7 @@ class _SimplexState:
             np.matmul(y, self.S[:, run.hi:], out=p[run.hi:])
         at, n_free = self.at, self.free_idx.size
         out[:at] = p[:at]
-        np.negative(p[self.partners], out=out[at:at + n_free])
+        np.negative(p[self.free_idx], out=out[at:at + n_free])
         out[at + n_free:] = p[at:]
         if run is not None and (run.half_at.size or run.full_at.size):
             out[run.half_at] = -(y2 @ run.half_cols)
@@ -309,7 +307,10 @@ def solve_lp(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9,
     feasible region), or the Infeasible/Unbounded/IterationLimit status.
     Raises ArithmeticError on a solver fault: a singular basis, or a final
     point that violates a row or bound by more than 1e3 * feas_tol (scaled by
-    the largest |b| above 1), the same tolerance as the phase-1 test.
+    the largest |b| above 1), the same tolerance as the phase-1 test.  A
+    solve that priced a paired run (`_PairedRun`) and hit such a fault runs
+    again with every column priced from the full rows, and reports only the
+    second solve's pivots.
     """
     if feas_tol <= 0 or opt_tol <= 0:
         raise ValueError("tolerances must be positive")
@@ -346,12 +347,29 @@ def solve_lp(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9,
     at = int(free_idx[-1]) + 1 if n_free else V
     c_real = np.concatenate([lp.c[:at], -lp.c[free_idx], lp.c[at:], np.zeros(len(ineq_rows))])
 
-    pivots_used = 0
-    state = _SimplexState(S, b, basis, at, free_idx, _PairedRun.find(S, at, free_idx))
     # phase-1 infeasibility and the final point's row or bound violation
     violation_tol = 1e3 * feas_tol * max(1.0, float(np.abs(b).max(initial=0.0)))
+    run = _PairedRun.find(S, at, free_idx)
+    try:
+        return _two_phase(lp, _SimplexState(S, b, basis, at, free_idx, run), c_real,
+                          n_real, flipped, violation_tol, feas_tol, opt_tol, max_iters)
+    except ArithmeticError:
+        if run is None:
+            raise
+    # Summed row prices round apart from the full rows' and can steer the
+    # pivots into a fault that full pricing avoids, so solve again with it.
+    return _two_phase(lp, _SimplexState(S, b, basis, at, free_idx, None), c_real,
+                      n_real, flipped, violation_tol, feas_tol, opt_tol, max_iters)
 
-    if art_rows:
+
+def _two_phase(lp, state, c_real, n_real, flipped, violation_tol, feas_tol, opt_tol,
+               max_iters) -> LpSolution:
+    """Phase 1 from the slack and artificial basis of `state`, then phase 2 on c_real."""
+    at, free_idx = state.at, state.free_idx
+    n_free = free_idx.size
+    n_struct = lp.n_vars + n_free
+    pivots_used = 0
+    if state.n_cols > n_real:
         c_phase1 = np.zeros(state.n_cols)
         c_phase1[n_real:] = 1.0
         code, pivots = _iterate(state, c_phase1, opt_tol, feas_tol, max_iters)
@@ -383,7 +401,7 @@ def solve_lp(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9,
 
     # Row prices for the original rows; sign-normalized rows flip back.  Rows
     # dropped as redundant during drive-out lose their price, so skip duals then.
-    if state.S.shape[0] == R:
+    if state.S.shape[0] == lp.n_rows:
         y = c_real[state.basis] @ state.Binv
         duals = np.where(flipped, -y, y)
         duals.setflags(write=False)

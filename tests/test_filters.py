@@ -316,6 +316,17 @@ class TestVectorizedMatchesLoops:
         assert dd.samples.itemsize == 1
         assert fcbf_select(dd) == fcbf_pairwise(dd.samples, dd.labels)
 
+    def test_fcbf_on_uint64_codes_reads_them_as_int64(self):
+        # int64 cannot hold every uint64, and int64 with uint64 arithmetic
+        # gives floats, so such codes are converted
+        rng = np.random.default_rng(9)
+        y = np.where(rng.random(60) < 0.5, 1, -1)
+        X = rng.normal(size=(60, 5)) + y[:, None] * np.linspace(0.0, 1.5, 5)
+        dd = discretize_equal_frequency(make_dataset(X, y), bins=6)
+        wide = DiscreteDataset(dd.samples.astype(np.uint64), dd.bins_per_feature, dd.labels)
+        assert wide.samples.dtype == np.int64
+        assert fcbf_select(wide) == fcbf_select(dd) == fcbf_pairwise(dd.samples, dd.labels)
+
     @given(st.integers(0, 10_000))
     def test_su_equals_scalar_su_in_both_orientations(self, seed):
         X = random_codes(np.random.default_rng(seed))

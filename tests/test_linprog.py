@@ -357,6 +357,51 @@ class TestPairedRows:
         assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
         assert sol.objective_value == pytest.approx(ref.objective_value, rel=1e-12)
 
+    @staticmethod
+    def paired_rows_lp(rng):
+        # x >= 0 under a.x <= 1 and a.x <= 2 for three rows a, and sum(x) <= 3
+        # and <= 4: every pair agrees on x0..x5, so the run spans them.
+        A = np.vstack([paired_lp_matrix(rng, 3, 6, unequal=0.0), np.ones((2, 6))])
+        return LinearProgram(rng.uniform(-1.0, 1.0, size=6), A, (LE,) * 8,
+                             [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 3.0, 4.0], np.zeros(6, dtype=bool))
+
+    def test_fault_under_paired_pricing_solves_again_from_the_full_rows(self, monkeypatch):
+        lp = self.paired_rows_lp(np.random.default_rng(6))
+        monkeypatch.setattr(linprog._PairedRun, "find", staticmethod(lambda *args: None))
+        ref = solve_lp(lp)
+        monkeypatch.undo()
+        runs = []
+        iterate = linprog._iterate
+
+        def faulty(state, *args):
+            runs.append(state.run)
+            if state.run is not None:
+                raise ArithmeticError("singular basis matrix")
+            return iterate(state, *args)
+
+        monkeypatch.setattr(linprog, "_iterate", faulty)
+        sol = solve_lp(lp)
+        assert runs[0] is not None and runs[1:] == [None]
+        assert (sol.status, sol.iterations, sol.objective_value) == (
+            ref.status, ref.iterations, ref.objective_value)
+        np.testing.assert_array_equal(sol.x, ref.x)
+        np.testing.assert_array_equal(sol.duals, ref.duals)
+
+    def test_fault_under_full_pricing_too_is_raised(self, monkeypatch):
+        lp = self.paired_rows_lp(np.random.default_rng(6))
+        drift_basic_values(monkeypatch, -10.0)
+        runs = []
+        drifted = linprog._iterate
+
+        def spy(state, *args):
+            runs.append(state.run)
+            return drifted(state, *args)
+
+        monkeypatch.setattr(linprog, "_iterate", spy)
+        with pytest.raises(ArithmeticError, match="violates a constraint"):
+            solve_lp(lp)
+        assert runs[0] is not None and runs[1:] == [None]
+
     def test_redundant_row_dropped_in_drive_out_prices_from_the_full_rows(self, monkeypatch):
         # Rows 0 and 1 are the same equality: phase 1 ends with an artificial
         # of one of them basic at zero, and the drive-out drops its row.
