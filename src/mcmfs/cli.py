@@ -298,7 +298,8 @@ def _cmd_predict(args) -> int:
     d = _load(args)
     with open(args.model, encoding="utf-8") as fh:
         text = fh.read()
-    first = text.splitlines()[0].strip() if text.strip() else ""
+    # the kind is read from the first non-blank line, where `document_fields` finds it too
+    first = next((line.strip() for line in text.splitlines() if line.strip()), "")
     if first.startswith("mcm-model"):
         model, std = mcm.mcm_model_from_text(text)
         n = model.n_features

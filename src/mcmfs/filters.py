@@ -142,47 +142,65 @@ def discretize_equal_frequency(d: Dataset, bins: int = 10) -> DiscreteDataset:
     return DiscreteDataset(ids, present.sum(axis=0), d.labels)
 
 
-def _entropies(counts: np.ndarray) -> np.ndarray:
-    """Base-2 entropy of each row of a count matrix (0*log(0) counts as 0).
+def _plogp(m: int) -> np.ndarray:
+    """p * log2(p) at p = c/m for each count c in 0..m (0 at c = 0)."""
+    p = np.arange(1, m + 1) / m
+    return np.concatenate(([0.0], p * np.log2(p)))
 
-    Rows are grouped by their number of non-zero counts, so each row's terms
-    are summed in their own order over a vector of their own length: the
-    result is bit-identical to computing each row on its own.
+
+def _entropies(counts: np.ndarray, plogp: np.ndarray) -> np.ndarray:
+    """Base-2 entropy of each row of a count matrix whose rows all sum to m.
+
+    `plogp` is `_plogp(m)`, so each non-zero count's term is looked up, not
+    computed.  Rows are ranked by their number of non-zero counts and summed
+    one width at a time, so each row's terms are summed in their own order
+    over a vector of their own length: the result is bit-identical to
+    computing each row on its own.
     """
     nonzero = np.count_nonzero(counts, axis=1)
-    out = np.empty(counts.shape[0])
-    for width in np.unique(nonzero):
-        rows = np.flatnonzero(nonzero == width)
-        block = counts[rows]
-        p = block[block > 0].reshape(rows.size, width) / block.sum(axis=1, keepdims=True)
-        out[rows] = -(p * np.log2(p)).sum(axis=1)
+    order = np.argsort(nonzero, kind="stable")
+    ranked = counts[order]
+    terms = plogp[ranked[ranked > 0]]
+    sums = np.empty(len(order))
+    widths, n_rows = np.unique(nonzero, return_counts=True)
+    row = term = 0
+    for width, rows in zip(widths.tolist(), n_rows.tolist()):
+        sums[row:row + rows] = terms[term:term + rows * width].reshape(rows, width).sum(axis=1)
+        row, term = row + rows, term + rows * width
+    out = np.empty_like(sums)
+    out[order] = -sums
     return out
 
 
-def _su(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Symmetrical uncertainty of paired integer-coded columns (base-2 logs).
+def _joint_counts(xs: np.ndarray, ys: np.ndarray):
+    """Joint count tables of paired integer-coded features, in blocks.
 
-    `xs` and `ys` are (M, k) code matrices, either one may be (M, 1) to pair
-    a single column with k others; entry j of the result is SU(xs_j, ys_j),
-    built from the joint table indexed [x, y].  Columns are counted in blocks
-    whose tables hold at most `_TABLE_CELLS` cells.
+    `xs` and `ys` hold one feature per row, (k, M) each, or (1, M) to pair a
+    single feature with each of k others.  Yields
+    (rows, table): `table[j]` is the (nx, ny) table of pair `rows.start + j`,
+    indexed [x, y].  A block's tables hold at most `_TABLE_CELLS` cells.
     """
-    xs, ys = np.broadcast_arrays(xs, ys)
-    k = xs.shape[1]
+    k = max(len(xs), len(ys))
     nx = int(xs.max()) + 1
     ny = int(ys.max()) + 1
     step = max(1, _TABLE_CELLS // (nx * ny))
-    su = np.zeros(k)
     for lo in range(0, k, step):
-        x, y = xs[:, lo:lo + step], ys[:, lo:lo + step]
-        w = x.shape[1]
-        cells = (np.arange(w) * nx + x) * ny + y
+        x, y = (v if len(v) == 1 else v[lo:lo + step] for v in (xs, ys))
+        w = max(len(x), len(y))
+        cells = np.arange(0, w * nx * ny, nx * ny)[:, None] + np.multiply(x, ny, dtype=np.intp)
+        cells += y
         joint = np.bincount(cells.ravel(), minlength=w * nx * ny).reshape(w, nx, ny)
-        hx = _entropies(joint.sum(axis=2))
-        hy = _entropies(joint.sum(axis=1))
-        hxy = _entropies(joint.reshape(w, -1))
-        denom = hx + hy
-        np.divide(2.0 * (hx + hy - hxy), denom, out=su[lo:lo + w], where=denom > 0.0)
+        yield slice(lo, lo + w), joint
+
+
+def _su(hx, hy, hxy) -> np.ndarray:
+    """Symmetrical uncertainty 2(H(x) + H(y) - H(x, y)) / (H(x) + H(y)).
+
+    Clipped to [0, 1]; 0 where H(x) + H(y) is 0.
+    """
+    denom = hx + hy
+    su = np.zeros(np.shape(denom))
+    np.divide(2.0 * (denom - hxy), denom, out=su, where=denom > 0.0)
     return np.clip(su, 0.0, 1.0)
 
 
@@ -192,12 +210,21 @@ def fcbf_select(dd: DiscreteDataset, delta: float = 0.0) -> tuple[int, ...]:
     Features with SU against the class above `delta` are walked in descending
     relevance (ties by ascending index); each survivor removes any later
     feature it predominates, i.e. any f' with SU(f, f') >= SU(f', class).
-    Survivors come back in ascending index order.
+    Survivors come back in ascending index order.  Each feature's entropy is
+    computed once, in the pass against the class; a survivor's pass counts
+    only the joint tables [f, f'].
     """
-    X = dd.samples
-    n = X.shape[1]
+    M, n = dd.samples.shape
+    features = np.ascontiguousarray(dd.samples.T)
     _, yi = np.unique(dd.labels, return_inverse=True)
-    su_class = _su(X, yi[:, None])
+    plogp = _plogp(M)
+    h = np.empty(n)            # H(f)
+    h_class = np.empty(n)      # H(f, class)
+    for rows, joint in _joint_counts(features, yi[None, :]):
+        # class by class: numpy reduces a short last axis row by row, far slower
+        h[rows] = _entropies(sum(joint[:, :, c] for c in range(joint.shape[2])), plogp)
+        h_class[rows] = _entropies(joint.reshape(len(joint), -1), plogp)
+    su_class = _su(h, _entropies(np.bincount(yi)[None, :], plogp), h_class)
     order = np.lexsort((np.arange(n), -su_class))
     queue = order[su_class[order] > delta]
     survivors = []
@@ -205,5 +232,8 @@ def fcbf_select(dd: DiscreteDataset, delta: float = 0.0) -> tuple[int, ...]:
         f, queue = int(queue[0]), queue[1:]
         survivors.append(f)
         if queue.size:
-            queue = queue[_su(X[:, [f]], X[:, queue]) < su_class[queue]]
+            h_pair = np.empty(queue.size)
+            for rows, joint in _joint_counts(features[[f]], features[queue]):
+                h_pair[rows] = _entropies(joint.reshape(len(joint), -1), plogp)
+            queue = queue[_su(h[f], h[queue], h_pair) < su_class[queue]]
     return tuple(sorted(survivors))

@@ -137,14 +137,16 @@ class _PairedRun:
 class _SimplexState:
     """Mutable basis bookkeeping: columns, b, current basis, its inverse, basic values.
 
-    S stores the LP's variables, then slacks, then artificials.  The standard
+    S stores the LP's variables, then slacks, then artificials.  With
+    `identity` the basis is known to be I (slack and artificial columns, each
+    +1 on its own row), so it is not inverted.  The standard
     form splits each free x_j into x_j+ - x_j-: column at + k is the negated
     copy -S[:, free_idx[k]], gathered when needed and priced from its partner,
     and the stored columns from `at` on follow the copies.  `run`, a
     _PairedRun or None, prices its columns from half the rows.
     """
 
-    def __init__(self, S, b, basis, at, free_idx, run):
+    def __init__(self, S, b, basis, at, free_idx, run, identity=False):
         self.S = S
         self.b = b
         self.at = at
@@ -154,7 +156,11 @@ class _SimplexState:
         self._p = np.empty(S.shape[1])
         self._out = np.empty(self.n_cols)
         self.basis = np.array(basis, dtype=np.int64)
-        self.refactor()
+        if identity:
+            # B = I, so B^-1 b = b, with a -0.0 in b read as 0.0 as the product reads it
+            self.Binv, self.xB = np.eye(b.size), b + 0.0
+        else:
+            self.refactor()
 
     @property
     def n_cols(self) -> int:
@@ -351,14 +357,14 @@ def solve_lp(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9,
     violation_tol = 1e3 * feas_tol * max(1.0, float(np.abs(b).max(initial=0.0)))
     run = _PairedRun.find(S, at, free_idx)
     try:
-        return _two_phase(lp, _SimplexState(S, b, basis, at, free_idx, run), c_real,
+        return _two_phase(lp, _SimplexState(S, b, basis, at, free_idx, run, True), c_real,
                           n_real, flipped, violation_tol, feas_tol, opt_tol, max_iters)
     except ArithmeticError:
         if run is None:
             raise
     # Summed row prices round apart from the full rows' and can steer the
     # pivots into a fault that full pricing avoids, so solve again with it.
-    return _two_phase(lp, _SimplexState(S, b, basis, at, free_idx, None), c_real,
+    return _two_phase(lp, _SimplexState(S, b, basis, at, free_idx, None, True), c_real,
                       n_real, flipped, violation_tol, feas_tol, opt_tol, max_iters)
 
 

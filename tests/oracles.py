@@ -333,7 +333,8 @@ def discretize_columnwise(X, bins):
     return ids, counts
 
 
-def _entropy(counts):
+def entropy_bits(counts):
+    """Base-2 entropy of one vector of counts, each term computed on its own."""
     p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log2(p)).sum())
 
@@ -344,12 +345,12 @@ def su_codes(x, y):
     nx = int(x.max()) + 1
     ny = int(y.max()) + 1
     joint = np.bincount(x * ny + y, minlength=nx * ny).reshape(nx, ny)
-    hx = _entropy(joint.sum(axis=1))
-    hy = _entropy(joint.sum(axis=0))
+    hx = entropy_bits(joint.sum(axis=1))
+    hy = entropy_bits(joint.sum(axis=0))
     denom = hx + hy
     if denom <= 0.0:
         return 0.0
-    hxy = _entropy(joint.reshape(-1))
+    hxy = entropy_bits(joint.reshape(-1))
     su = 2.0 * (hx + hy - hxy) / denom
     return min(1.0, max(0.0, su))
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from mcmfs import linprog
 from mcmfs.data import Dataset
-from mcmfs.filters import _su
+from mcmfs.filters import _entropies, _joint_counts, _plogp, _su
 from mcmfs.linprog import EQ, GE, LE, LinearProgram
 
 
@@ -36,10 +37,71 @@ def drift_basic_values(monkeypatch, shift):
     monkeypatch.setattr(linprog, "_iterate", drifted)
 
 
+def invert_identity_starts(monkeypatch):
+    """Make every simplex state that starts at B = I invert its basis after all.
+
+    Returns a list that gets one ((B^-1, x_B) at B = I, (B^-1, x_B) by
+    inverting) pair per such state, so a solve then runs as it would if the
+    start were inverted, and its starting values can be compared.
+    """
+    starts = []
+    init = linprog._SimplexState.__init__
+
+    def inverting(state, S, b, basis, at, free_idx, run, identity=False):
+        init(state, S, b, basis, at, free_idx, run, identity)
+        if identity:
+            given = state.Binv.copy(), state.xB.copy()
+            state.refactor()
+            starts.append((given, (state.Binv.copy(), state.xB.copy())))
+
+    monkeypatch.setattr(linprog._SimplexState, "__init__", inverting)
+    return starts
+
+
+def solve_outcome(lp):
+    """solve_lp's result as bytes-comparable fields, or the fault it raised."""
+    try:
+        sol = linprog.solve_lp(lp)
+    except ArithmeticError as fault:
+        return ("fault", str(fault))
+    return (sol.status, sol.iterations, np.float64(sol.objective_value).tobytes(),
+            *(None if v is None else v.tobytes() for v in (sol.x, sol.duals)))
+
+
+def assert_identity_start_changes_nothing(lp):
+    """The solve of `lp` equals, bit for bit, the one that inverts each start at B = I."""
+    got = solve_outcome(lp)
+    with pytest.MonkeyPatch.context() as mp:
+        starts = invert_identity_starts(mp)
+        ref = solve_outcome(lp)
+    assert starts
+    for given, inverted in starts:
+        assert [v.tobytes() for v in given] == [v.tobytes() for v in inverted]
+    assert got == ref
+
+
+def su_columns(xs, ys) -> np.ndarray:
+    """SU(xs_j, ys_j) of paired integer-coded columns, through the FCBF helpers.
+
+    `xs` and `ys` are (M, k) code matrices, either one may be (M, 1) to pair a
+    single column with k others.  Each entropy comes from the pair's own joint
+    table indexed [x, y], counted by `filters._joint_counts`.
+    """
+    xs, ys = (np.asarray(v).T for v in (xs, ys))
+    plogp = _plogp(xs.shape[1])
+    k = max(len(xs), len(ys))
+    hx, hy, hxy = np.empty(k), np.empty(k), np.empty(k)
+    for rows, joint in _joint_counts(xs, ys):
+        hx[rows] = _entropies(joint.sum(axis=2), plogp)
+        hy[rows] = _entropies(joint.sum(axis=1), plogp)
+        hxy[rows] = _entropies(joint.reshape(len(joint), -1), plogp)
+    return _su(hx, hy, hxy)
+
+
 def su(x, y) -> float:
-    """Symmetrical uncertainty of two 1-D columns of discrete values, through `filters._su`."""
+    """Symmetrical uncertainty of two 1-D columns of discrete values, through `su_columns`."""
     codes = [np.unique(v, return_inverse=True)[1].reshape(-1, 1) for v in (x, y)]
-    return float(_su(*codes)[0])
+    return float(su_columns(*codes)[0])
 
 
 def make_benchmark_dataset(m=100, n=200, informative=5, min_vote=3,

@@ -213,6 +213,18 @@ class TestTrainPredict:
         assert "training error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["mcm", "svm"])
+    def test_model_kind_read_from_first_non_blank_line(self, csv_path, tmp_path, kind):
+        model = tmp_path / "m.txt"
+        assert main(["train", "--input", csv_path, "--model-kind", kind,
+                     "--out", str(model)]) == 0
+        model.write_text("\n  \n" + model.read_text())
+        labels = tmp_path / "labels.txt"
+        assert main(["predict", "--input", csv_path, "--model", str(model),
+                     "--out", str(labels)]) == 0
+        got = [int(line.split("\t")[1]) for line in labels.read_text().splitlines()]
+        assert got == separable().labels.tolist()
+
     def test_unrecognized_model_document(self, csv_path, tmp_path, capsys):
         bogus = tmp_path / "bogus.txt"
         bogus.write_text("hello\n")

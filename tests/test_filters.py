@@ -8,15 +8,17 @@ from mcmfs.data import (DataError, apply_standardizer, fit_standardizer, load_da
 from mcmfs import filters
 from mcmfs.filters import (
     DiscreteDataset,
-    _su,
+    _entropies,
+    _plogp,
     cumulative_fraction_select,
     discretize_equal_frequency,
     fcbf_select,
     relieff_rank,
 )
-from oracles import (cumulative_fraction_loop, discretize_columnwise, fcbf_pairwise,
-                     relieff_weights_naive, relieff_weights_per_anchor, su_codes)
-from support import make_benchmark_dataset, make_dataset, su, write_csv
+from oracles import (cumulative_fraction_loop, discretize_columnwise, entropy_bits,
+                     fcbf_pairwise, relieff_weights_naive, relieff_weights_per_anchor,
+                     su_codes)
+from support import make_benchmark_dataset, make_dataset, su, su_columns, write_csv
 
 QUAD = make_dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1, 1, -1, -1])
 
@@ -331,8 +333,8 @@ class TestVectorizedMatchesLoops:
     def test_su_equals_scalar_su_in_both_orientations(self, seed):
         X = random_codes(np.random.default_rng(seed))
         n = X.shape[1]
-        against_first = _su(X[:, [0]], X)
-        first_against = _su(X, X[:, [0]])
+        against_first = su_columns(X[:, [0]], X)
+        first_against = su_columns(X, X[:, [0]])
         for j in range(n):
             assert against_first[j] == su_codes(X[:, 0], X[:, j])
             assert first_against[j] == su_codes(X[:, j], X[:, 0])
@@ -342,6 +344,59 @@ class TestVectorizedMatchesLoops:
 
     def test_su_counted_in_blocks_matches_one_block(self, monkeypatch):
         X = random_codes(np.random.default_rng(3))
-        whole = _su(X[:, [0]], X)
+        whole = su_columns(X[:, [0]], X), su_columns(X, X[:, [0]])
         monkeypatch.setattr(filters, "_TABLE_CELLS", 1)
-        assert np.array_equal(_su(X[:, [0]], X), whole)
+        assert np.array_equal(su_columns(X[:, [0]], X), whole[0])
+        assert np.array_equal(su_columns(X, X[:, [0]]), whole[1])
+
+    def test_fcbf_counted_in_blocks_matches_pairwise(self, monkeypatch):
+        # one pair per block in the class pass and in every survivor's pass
+        d = make_benchmark_dataset(m=40, n=60, seed=5)
+        dd = discretize_equal_frequency(d)
+        monkeypatch.setattr(filters, "_TABLE_CELLS", 1)
+        assert fcbf_select(dd) == fcbf_pairwise(dd.samples, dd.labels)
+
+
+def count_table(rng, m, widths, cells):
+    """Rows of `cells` counts summing to `m`, row i with widths[i] non-zero counts."""
+    table = np.zeros((len(widths), cells), dtype=np.int64)
+    for row, width in zip(table, widths):
+        at = rng.choice(cells, size=width, replace=False)
+        row[at] = 1 + rng.multinomial(m - width, rng.dirichlet(np.ones(width)))
+    return table
+
+
+class TestEntropies:
+    # numpy sums fewer than 8 terms one by one, 8 to 128 terms in eight
+    # interleaved partial sums plus a tail, and splits more than 128 in halves
+    @pytest.mark.parametrize("lo,hi", [(1, 7), (8, 15), (16, 128), (129, 200)])
+    def test_equals_per_row_entropy_across_summation_blocks(self, lo, hi):
+        rng = np.random.default_rng(lo)
+        m = 400
+        widths = rng.integers(lo, hi + 1, size=60)
+        table = count_table(rng, m, widths, 256)
+        got = _entropies(table, _plogp(m))
+        assert np.array_equal(got, [entropy_bits(row) for row in table])
+
+    @given(st.integers(0, 10_000))
+    def test_equals_per_row_entropy_on_mixed_widths(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 300))
+        cells = int(rng.integers(1, 320))
+        widths = rng.integers(1, min(m, cells) + 1, size=int(rng.integers(1, 40)))
+        table = count_table(rng, m, widths, cells)
+        got = _entropies(table, _plogp(m))
+        assert np.array_equal(got, [entropy_bits(row) for row in table])
+
+    def test_table_terms_are_the_computed_terms(self):
+        m = 72
+        p = np.arange(1, m + 1) / m
+        assert np.array_equal(_plogp(m)[1:], p * np.log2(p))
+        assert _plogp(m)[0] == 0.0 and _plogp(1).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fcbf_matches_pairwise_on_a_planted_62x2000_standin(seed):
+    d = make_benchmark_dataset(m=62, n=2000, seed=seed)
+    dd = discretize_equal_frequency(d)
+    assert fcbf_select(dd) == fcbf_pairwise(dd.samples, dd.labels)

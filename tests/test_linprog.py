@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mcmfs import linprog
@@ -13,7 +13,8 @@ from mcmfs.linprog import (
     solve_lp,
 )
 from oracles import enumerate_orthant_lp
-from support import drift_basic_values, dump_lp, lp_of, random_lp
+from support import (assert_identity_start_changes_nothing, drift_basic_values, dump_lp,
+                     invert_identity_starts, lp_of, random_lp)
 
 
 class TestKnownInstances:
@@ -193,6 +194,17 @@ def lps_with_free_variables(draw):
     return LinearProgram(c, A, rel, b, free)
 
 
+@st.composite
+def lps_with_a_free_run(draw):
+    """(lp, lo, hi): an LP of `lps_with_free_variables` whose free variables are lo..hi-1."""
+    lp = draw(lps_with_free_variables())
+    lo = draw(st.integers(0, lp.n_vars - 1))
+    hi = draw(st.integers(lo + 1, lp.n_vars))
+    free = np.zeros(lp.n_vars, dtype=bool)
+    free[lo:hi] = True
+    return LinearProgram(lp.c, lp.A, lp.rel, lp.b, free), lo, hi
+
+
 def split_by_hand(lp, at=None):
     """The same LP with each free x_j replaced by x_j+ - x_j-, both nonnegative.
 
@@ -214,22 +226,25 @@ class TestFreeColumnsStoredOnce:
             assert abs(sol.objective_value - ref.objective_value) <= 1e-9, dump_lp(lp)
             assert sol.objective_value == pytest.approx(float(lp.c @ sol.x), abs=1e-9)
 
-    @given(lps_with_free_variables(), st.data())
-    def test_consecutive_free_run_pivots_like_the_lp_split_by_hand(self, lp, data):
+    @given(lps_with_a_free_run())
+    # the objectives 0.5 and 0.5000000000000001 of the same point: c @ x sums
+    # three terms here and four in the twin
+    @example((LinearProgram([1.0, 1.0, 1.0], [[0.0, 1.0, -1.0], [1.0, 1.0, 0.0], [-1.0, -3.0, 0.0]],
+                            (LE, EQ, LE), [0.0, 0.0, -1.0], [True, True, True]), 0, 3))
+    def test_consecutive_free_run_pivots_like_the_lp_split_by_hand(self, case):
         # With free variables lo..hi-1 only, the standard form is the LP split by
-        # hand with the x- columns at hi: the same pivots, bit for bit.
-        lo = data.draw(st.integers(0, lp.n_vars - 1))
-        hi = data.draw(st.integers(lo + 1, lp.n_vars))
-        free = np.zeros(lp.n_vars, dtype=bool)
-        free[lo:hi] = True
-        lp = LinearProgram(lp.c, lp.A, lp.rel, lp.b, free)
-        sol, ref = solve_lp(lp), solve_lp(split_by_hand(lp, at=hi))
+        # hand with the x- columns at hi: the same pivots and point, bit for bit.
+        lp, lo, hi = case
+        twin = split_by_hand(lp, at=hi)
+        sol, ref = solve_lp(lp), solve_lp(twin)
         assert (sol.status, sol.iterations) == (ref.status, ref.iterations), dump_lp(lp)
         if sol.status is LpStatus.OPTIMAL:
             x = np.concatenate([ref.x[:lo], ref.x[lo:hi] - ref.x[hi:2 * hi - lo],
                                 ref.x[2 * hi - lo:]])
             np.testing.assert_array_equal(sol.x, x)
-            assert sol.objective_value == ref.objective_value
+            # each objective is its own LP's c @ x, summed over vectors of different lengths
+            assert sol.objective_value == float(lp.c @ sol.x)
+            assert ref.objective_value == float(twin.c @ ref.x)
 
 
 def paired_lp_matrix(rng, pairs, V, unequal=0.3):
@@ -424,3 +439,33 @@ class TestPairedRows:
         assert (sol.status.value, status) == ("Optimal", "Optimal")
         assert sol.objective_value == pytest.approx(best, abs=1e-9)
         assert sol.duals is None
+
+
+class TestIdentityStart:
+    # Every starting basis column is a slack or an artificial with +1 on its
+    # own row, so the first state and the full-pricing retry take B^-1 = I and
+    # x_B = b without inverting: the bits that inverting gives.
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_inverting_the_start(self, seed):
+        # negative right-hand sides, >= and == rows: artificials in the start
+        assert_identity_start_changes_nothing(random_lp(np.random.default_rng(seed)))
+
+    def test_negative_zero_right_hand_side_starts_at_zero(self):
+        lp = lp_of([1.0, 1.0], [([1.0, 1.0], GE, -0.0), ([1.0, -1.0], LE, -0.0)])
+        assert_identity_start_changes_nothing(lp)
+
+    def test_retry_after_a_paired_fault_equals_inverting_its_start(self, monkeypatch):
+        lp = TestPairedRows.paired_rows_lp(np.random.default_rng(6))
+        starts = invert_identity_starts(monkeypatch)
+        iterate = linprog._iterate
+
+        def faulty(state, *args):
+            if state.run is not None:
+                raise ArithmeticError("singular basis matrix")
+            return iterate(state, *args)
+
+        monkeypatch.setattr(linprog, "_iterate", faulty)
+        assert solve_lp(lp).status is LpStatus.OPTIMAL
+        assert len(starts) == 2   # the faulting solve and its retry
+        for given, inverted in starts:
+            assert [v.tobytes() for v in given] == [v.tobytes() for v in inverted]

@@ -25,7 +25,8 @@ from mcmfs.mcm import (
     vc_bound_term,
 )
 from oracles import enumerate_orthant_lp, margin_machine_optimum
-from support import make_dataset, margin_ratio, random_two_class
+from support import (assert_identity_start_changes_nothing, make_dataset, margin_ratio,
+                     random_two_class)
 
 TINY_PAIR = make_dataset([[1.0], [-1.0]], [1, -1])
 
@@ -126,6 +127,19 @@ class TestStandardFormOrder:
                                 ref.x[2 * n + 1:]])
             np.testing.assert_array_equal(sol.x, x)
             assert sol.objective_value == ref.objective_value
+
+
+@pytest.mark.parametrize("variant,hard_margin", [
+    (VARIANT_PAPER, False), (VARIANT_CLASSIC, False), (VARIANT_PAPER, True),
+], ids=["paper", "classic", "hard-margin"])
+def test_mcm_lp_started_at_identity_solves_as_inverted(variant, hard_margin):
+    # the start of the MCM LP is all slacks and artificials; not inverting it
+    # leaves every pivot, the point, the objective and the duals as they were
+    d = planted_set([59, 80, 200, 0], 80, 200)
+    if hard_margin:
+        d = make_dataset(d.samples[:, :5], d.labels)   # the planted votes separate
+    assert_identity_start_changes_nothing(
+        build_mcm_lp(d, C=1.0, hard_margin=hard_margin, variant=variant))
 
 
 def record_paired_runs(monkeypatch):
