@@ -176,9 +176,9 @@ def _joint_counts(xs: np.ndarray, ys: np.ndarray):
     """Joint count tables of paired integer-coded features, in blocks.
 
     `xs` and `ys` hold one feature per row, (k, M) each, or (1, M) to pair a
-    single feature with each of k others.  Yields
-    (rows, table): `table[j]` is the (nx, ny) table of pair `rows.start + j`,
-    indexed [x, y].  A block's tables hold at most `_TABLE_CELLS` cells.
+    single feature with each of k others.  Yields (rows, table): `table[j]`
+    is the (nx, ny) table of pair `rows.start + j`, indexed [x, y].  A
+    block's tables hold at most `_TABLE_CELLS` cells.
     """
     k = max(len(xs), len(ys))
     nx = int(xs.max()) + 1
@@ -187,9 +187,12 @@ def _joint_counts(xs: np.ndarray, ys: np.ndarray):
     for lo in range(0, k, step):
         x, y = (v if len(v) == 1 else v[lo:lo + step] for v in (xs, ys))
         w = max(len(x), len(y))
-        cells = np.arange(0, w * nx * ny, nx * ny)[:, None] + np.multiply(x, ny, dtype=np.intp)
+        # one (w, M) buffer: each further temporary costs page faults and memory
+        cells = np.add(np.arange(0, w * nx, nx)[:, None], x, dtype=np.intp)
+        cells *= ny
         cells += y
         joint = np.bincount(cells.ravel(), minlength=w * nx * ny).reshape(w, nx, ny)
+        del cells   # not held while the caller reads the tables
         yield slice(lo, lo + w), joint
 
 

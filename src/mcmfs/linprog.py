@@ -357,15 +357,15 @@ def solve_lp(lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9,
     violation_tol = 1e3 * feas_tol * max(1.0, float(np.abs(b).max(initial=0.0)))
     run = _PairedRun.find(S, at, free_idx)
     try:
-        return _two_phase(lp, _SimplexState(S, b, basis, at, free_idx, run, True), c_real,
-                          n_real, flipped, violation_tol, feas_tol, opt_tol, max_iters)
+        return _two_phase(lp, _SimplexState(S, b, basis, at, free_idx, run, identity=True),
+                          c_real, n_real, flipped, violation_tol, feas_tol, opt_tol, max_iters)
     except ArithmeticError:
         if run is None:
             raise
     # Summed row prices round apart from the full rows' and can steer the
     # pivots into a fault that full pricing avoids, so solve again with it.
-    return _two_phase(lp, _SimplexState(S, b, basis, at, free_idx, None, True), c_real,
-                      n_real, flipped, violation_tol, feas_tol, opt_tol, max_iters)
+    return _two_phase(lp, _SimplexState(S, b, basis, at, free_idx, None, identity=True),
+                      c_real, n_real, flipped, violation_tol, feas_tol, opt_tol, max_iters)
 
 
 def _two_phase(lp, state, c_real, n_real, flipped, violation_tol, feas_tol, opt_tol,
